@@ -146,11 +146,13 @@ class ExecutionContext:
             cost = self.platform.swap.touch_range(start_vpn, npages, dirty=write)
             return cost + npages * self.config.dram_page_ns
         if pool is Pool.COMPUTE:
-            return self.compkernel.touch_sequential(self.memkernel, start_vpn, npages, write)
+            return self.compkernel.touch_sequential(
+                self.memkernel, start_vpn, npages, write, self.now
+            )
         if pool is Pool.MEMORY:
-            cost = 0.0
-            for vpn in range(start_vpn, start_vpn + npages):
-                cost += self.protocol.memory_touch(vpn, write, self.now)
+            cost = self.protocol.memory_touch_batch(
+                range(start_vpn, start_vpn + npages), write, self.now, sequential=True
+            )
             self.stats.memory_side_page_touches += npages
             return cost + npages * self.config.dram_page_ns
         raise ReproError(f"unknown pool {pool!r}")
@@ -158,10 +160,12 @@ class ExecutionContext:
     def _random_cost(self, vpns, write):
         """Cost of a batch of random page touches.
 
-        Very large batches are simulated by deterministic stride sampling:
-        every k-th access runs through the exact cache/coherence machinery
-        and cost plus counters are scaled back up. This keeps multi-million
-        access workloads tractable while preserving hit rates and shapes.
+        Batches up to ``access_sample_threshold`` are simulated exactly.
+        Larger ones are simulated by deterministic stride sampling: every
+        k-th access runs through the exact batch loop and cost plus
+        counters are scaled back up. This is the engine's one remaining
+        approximation; it keeps multi-million access workloads tractable
+        while preserving hit rates and shapes.
         """
         n = len(vpns)
         if n > self.config.access_sample_threshold:
@@ -175,40 +179,25 @@ class ExecutionContext:
         return self._random_cost_exact(vpns, write)
 
     def _random_cost_exact(self, vpns, write):
-        """Exact per-access simulation.
+        """Exact simulation of every access, by the executing pool's loop.
 
         Per-access DRAM cost depends on locality: an access to the same
         page as the previous one is a row-buffer hit (``dram_line_ns``); a
         page change pays full DRAM latency (``dram_random_ns``). Misses
-        additionally pay the pool-specific fault path.
+        additionally pay the pool-specific fault path. The vpns become
+        Python ints once here; each pool's batch loop (``SwapDevice``,
+        ``ComputeKernel``, ``CoherenceProtocol``) is exact against a plain
+        loop over that pool's per-page method.
         """
+        if isinstance(vpns, np.ndarray):
+            vpns = vpns.tolist()
         pool = self.pool
-        line_ns = self.config.dram_line_ns
-        random_ns = self.config.dram_random_ns
-        cost = 0.0
-        prev = None
         if pool is Pool.LOCAL:
-            swap = self.platform.swap
-            for vpn in vpns:
-                cost += swap.touch(vpn, dirty=write)
-                cost += line_ns if vpn == prev else random_ns
-                prev = vpn
-            return cost
+            return self.platform.swap.touch_batch(vpns, dirty=write)
         if pool is Pool.COMPUTE:
-            kernel = self.compkernel
-            now = self.now
-            for vpn in vpns:
-                cost += kernel.touch_random(self.memkernel, vpn, write, now + cost)
-                cost += line_ns if vpn == prev else random_ns
-                prev = vpn
-            return cost
+            return self.compkernel.touch_random_batch(self.memkernel, vpns, write, self.now)
         if pool is Pool.MEMORY:
-            protocol = self.protocol
-            now = self.now
-            for vpn in vpns:
-                cost += protocol.memory_touch(vpn, write, now + cost)
-                cost += line_ns if vpn == prev else random_ns
-                prev = vpn
+            cost = self.protocol.memory_touch_batch(vpns, write, self.now)
             self.stats.memory_side_page_touches += len(vpns)
             return cost
         raise ReproError(f"unknown pool {pool!r}")

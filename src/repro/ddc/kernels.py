@@ -12,7 +12,7 @@ route the relevant transitions through the attached
 Single-Writer-Multiple-Reader invariant holds across the pools.
 """
 
-from repro.mem.cache import PageCache
+from repro.mem.cache import CacheEntry, PageCache
 from repro.mem.storage import SwapDevice
 
 
@@ -85,7 +85,7 @@ class ComputeKernel:
         access itself is charged by the execution context, which knows the
         access locality. A miss pays the remote fault (plus a storage
         fault if the memory pool spilled the page, plus dirty-eviction
-        writeback).
+        writeback). The per-page reference of :meth:`touch_random_batch`.
         """
         entry = self.cache.get(vpn)
         if entry is not None:
@@ -102,31 +102,173 @@ class ComputeKernel:
             self.platform.tracer.emit(now, "fault", vpn=vpn, write=write)
         return self._fetch(memkernel, vpn, npages=1, write=write)
 
-    def touch_sequential(self, memkernel, start_vpn, npages, write):
+    def touch_random_batch(self, memkernel, vpns, write, now):
+        """A batch of random-order page touches; returns its cost.
+
+        Exactly a plain loop of ``cost += touch_random(memkernel, vpn,
+        write, now + cost)`` followed by the access's DRAM cost by
+        locality: ``dram_line_ns`` when the page repeats the previous
+        access, ``dram_random_ns`` otherwise. Hits and faults run inline,
+        with their counters kept locally and added to ``Stats`` once; the
+        memory pool is asked for a page only when it spilled it, and write
+        upgrades and the coherence hooks call the methods ``touch_random``
+        uses.
+        """
+        config = self.config
+        line_ns = config.dram_line_ns
+        random_ns = config.dram_random_ns
+        fault_ns = config.remote_fault_ns(1)
+        writeback_ns = config.page_writeback_ns(1)
+        entries = self.cache.entries
+        get = entries.get
+        move_to_end = entries.move_to_end
+        popitem = entries.popitem
+        capacity = self.cache.capacity_pages
+        in_pool = memkernel.pool.resident
+        pool_move_to_end = in_pool.move_to_end
+        protocol = self.protocol
+        sanitizers = self.platform.sanitizers if protocol is not None else None
+        tracer = self.platform.tracer
+        tracing = tracer.enabled
+        hits = misses = evictions = writebacks = 0
+        cost = 0.0
+        prev = None
+        try:
+            for vpn in vpns:
+                entry = get(vpn)
+                if entry is not None:
+                    move_to_end(vpn)
+                    if write:
+                        if not entry.writable:
+                            cost += self._upgrade(vpn, entry, now + cost)
+                        entry.dirty = True
+                    hits += 1
+                else:
+                    misses += 1
+                    if tracing:
+                        tracer.emit(now + cost, "fault", vpn=vpn, write=write)
+                    if vpn in in_pool:
+                        pool_move_to_end(vpn)
+                        fault = fault_ns
+                    else:
+                        fault = memkernel.ensure_resident_range(vpn, 1) + fault_ns
+                    if protocol is not None:
+                        protocol.on_compute_fetch(vpn, write)
+                    entries[vpn] = CacheEntry(write, write)
+                    # The cache never holds more than its capacity, so
+                    # one admission evicts at most one page.
+                    if len(entries) > capacity:
+                        victim_vpn, victim = popitem(False)
+                        evictions += 1
+                        if victim.dirty:
+                            writebacks += 1
+                            fault += writeback_ns
+                        if protocol is not None:
+                            protocol.on_compute_evict(victim_vpn)
+                    if sanitizers is not None:
+                        sanitizers.swmr_transition(protocol, "compute_fetch", vpn)
+                    cost += fault
+                cost += line_ns if vpn == prev else random_ns
+                prev = vpn
+        finally:
+            self._count(hits, misses, misses, evictions, writebacks)
+        return cost
+
+    def touch_sequential(self, memkernel, start_vpn, npages, write, now=0.0):
         """Stream ``npages`` consecutive pages through the cache.
 
         Misses are served in prefetch-degree batches, modelling the
         disaggregated OS's sequential prefetcher; every page additionally
-        pays the DRAM streaming cost since the CPU consumes it.
+        pays the DRAM streaming cost since the CPU consumes it. ``now`` is
+        the caller's clock: a write upgrade is judged at ``now`` plus the
+        cost accumulated before it. Exactly ``cache.get`` / ``_upgrade`` per
+        hit and ``_fetch`` per batch, run inline like
+        :meth:`touch_random_batch`.
         """
+        config = self.config
+        degree = config.prefetch_degree
+        degree_fault_ns = config.remote_fault_ns(degree)
+        writeback_ns = config.page_writeback_ns(1)
+        entries = self.cache.entries
+        get = entries.get
+        move_to_end = entries.move_to_end
+        popitem = entries.popitem
+        capacity = self.cache.capacity_pages
+        in_pool = memkernel.pool.resident
+        pool_move_to_end = in_pool.move_to_end
+        protocol = self.protocol
+        sanitizers = self.platform.sanitizers if protocol is not None else None
+        hits = misses = fetched = evictions = writebacks = 0
         cost = 0.0
         vpn = start_vpn
         end = start_vpn + npages
-        while vpn < end:
-            entry = self.cache.get(vpn)
-            if entry is not None:
-                if write and not entry.writable:
-                    cost += self._upgrade(vpn, entry, now=0.0)
-                if write:
-                    entry.dirty = True
-                self.stats.cache_hits += 1
-                vpn += 1
-                continue
-            batch = min(self.config.prefetch_degree, end - vpn)
-            self.stats.cache_misses += 1
-            cost += self._fetch(memkernel, vpn, npages=batch, write=write)
-            vpn += batch
-        return cost + npages * self.config.dram_page_ns
+        try:
+            while vpn < end:
+                entry = get(vpn)
+                if entry is not None:
+                    move_to_end(vpn)
+                    if write:
+                        if not entry.writable:
+                            cost += self._upgrade(vpn, entry, now + cost)
+                        entry.dirty = True
+                    hits += 1
+                    vpn += 1
+                    continue
+                batch = min(degree, end - vpn)
+                stop = vpn + batch
+                misses += 1
+                fetched += batch
+                fault = 0.0
+                for page in range(vpn, stop):
+                    if page not in in_pool:
+                        # The pool faults the rest of the batch in from
+                        # storage, exactly as one touch_range would.
+                        fault = memkernel.ensure_resident_range(page, stop - page)
+                        break
+                    pool_move_to_end(page)
+                fault += degree_fault_ns if batch == degree else config.remote_fault_ns(batch)
+                if protocol is not None:
+                    for page in range(vpn, stop):
+                        protocol.on_compute_fetch(page, write)
+                for page in range(vpn, stop):
+                    entry = get(page)
+                    if entry is not None:
+                        # Prefetched over a page that is still cached.
+                        entry.writable = entry.writable or write
+                        entry.dirty = entry.dirty or write
+                        move_to_end(page)
+                    else:
+                        entries[page] = CacheEntry(write, write)
+                        if len(entries) > capacity:
+                            victim_vpn, victim = popitem(False)
+                            evictions += 1
+                            if victim.dirty:
+                                writebacks += 1
+                                fault += writeback_ns
+                            if protocol is not None:
+                                protocol.on_compute_evict(victim_vpn)
+                    if sanitizers is not None:
+                        sanitizers.swmr_transition(protocol, "compute_fetch", page)
+                cost += fault
+                vpn = stop
+        finally:
+            self._count(hits, misses, fetched, evictions, writebacks)
+        return cost + npages * config.dram_page_ns
+
+    def _count(self, hits, misses, fetched, evictions, writebacks):
+        """Add a batch loop's events to ``Stats``: cache hits, misses (one
+        fault round trip each, moving ``fetched`` pages in in total), and
+        the evictions and dirty write-backs they caused, counted as
+        ``Network.pages_in_ns`` / ``pages_out_ns`` count them."""
+        stats = self.stats
+        stats.cache_hits += hits
+        stats.cache_misses += misses
+        stats.cache_evictions += evictions
+        stats.dirty_writebacks += writebacks
+        stats.remote_pages_in += fetched
+        stats.remote_pages_out += writebacks
+        stats.rpc_messages += 2 * misses + writebacks
+        stats.network_bytes += (fetched + writebacks) * self.config.page_size
 
     # ------------------------------------------------------------------
     # Fault machinery

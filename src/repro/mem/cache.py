@@ -37,24 +37,27 @@ class PageCache:
         if capacity_pages < 1:
             raise ConfigError(f"cache capacity must be >= 1 page, got {capacity_pages}")
         self.capacity_pages = capacity_pages
-        self._entries = OrderedDict()
+        #: vpn -> :class:`CacheEntry` in LRU-to-MRU order. The kernels'
+        #: batch access loops bind its methods directly; every mutation
+        #: they make mirrors :meth:`get` / :meth:`insert` exactly.
+        self.entries = OrderedDict()
 
     def __len__(self):
-        return len(self._entries)
+        return len(self.entries)
 
     def __contains__(self, vpn):
-        return vpn in self._entries
+        return vpn in self.entries
 
     def get(self, vpn):
         """Look up a page and promote it to most-recently-used."""
-        entry = self._entries.get(vpn)
+        entry = self.entries.get(vpn)
         if entry is not None:
-            self._entries.move_to_end(vpn)
+            self.entries.move_to_end(vpn)
         return entry
 
     def peek(self, vpn):
         """Look up a page without touching recency."""
-        return self._entries.get(vpn)
+        return self.entries.get(vpn)
 
     def insert(self, vpn, writable, dirty=False):
         """Insert (or refresh) a page; return list of evicted (vpn, dirty).
@@ -62,22 +65,22 @@ class PageCache:
         Evictions are exact LRU; dirty victims must be written back by the
         caller (the kernel charges the transfer).
         """
-        entry = self._entries.get(vpn)
+        entry = self.entries.get(vpn)
         if entry is not None:
             entry.writable = entry.writable or writable
             entry.dirty = entry.dirty or dirty
-            self._entries.move_to_end(vpn)
+            self.entries.move_to_end(vpn)
             return []
-        self._entries[vpn] = CacheEntry(writable, dirty)
+        self.entries[vpn] = CacheEntry(writable, dirty)
         evicted = []
-        while len(self._entries) > self.capacity_pages:
-            victim_vpn, victim = self._entries.popitem(last=False)
+        while len(self.entries) > self.capacity_pages:
+            victim_vpn, victim = self.entries.popitem(last=False)
             evicted.append((victim_vpn, victim.dirty))
         return evicted
 
     def invalidate(self, vpn):
         """Drop a page (coherence invalidation); return its entry or None."""
-        return self._entries.pop(vpn, None)
+        return self.entries.pop(vpn, None)
 
     def downgrade(self, vpn):
         """Set a page read-only; return True if it held dirty data.
@@ -86,7 +89,7 @@ class PageCache:
         when this returns True. The dirty bit is cleared here because after
         the flush both copies agree.
         """
-        entry = self._entries.get(vpn)
+        entry = self.entries.get(vpn)
         if entry is None:
             return False
         was_dirty = entry.dirty
@@ -95,22 +98,22 @@ class PageCache:
         return was_dirty
 
     def mark_dirty(self, vpn):
-        entry = self._entries.get(vpn)
+        entry = self.entries.get(vpn)
         if entry is not None:
             entry.dirty = True
 
     def dirty_vpns(self):
-        return [vpn for vpn, entry in self._entries.items() if entry.dirty]
+        return [vpn for vpn, entry in self.entries.items() if entry.dirty]
 
     def resident_items(self):
         """Snapshot of (vpn, entry) in LRU-to-MRU order."""
-        return list(self._entries.items())
+        return list(self.entries.items())
 
     def clear(self):
         """Drop everything; return list of (vpn, dirty) for all pages."""
-        dropped = [(vpn, entry.dirty) for vpn, entry in self._entries.items()]
-        self._entries.clear()
+        dropped = [(vpn, entry.dirty) for vpn, entry in self.entries.items()]
+        self.entries.clear()
         return dropped
 
     def __repr__(self):
-        return f"PageCache({len(self._entries)}/{self.capacity_pages} pages)"
+        return f"PageCache({len(self.entries)}/{self.capacity_pages} pages)"

@@ -12,59 +12,61 @@ from repro.mem.page import PageTableEntry
 class PageTable:
     """Sparse vpn -> PTE mapping."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ("ptes",)
 
     def __init__(self):
-        self._entries = {}
+        #: vpn -> PTE. The memory-side batch access loop binds its ``get``
+        #: directly; the loop falls back to :meth:`ensure` for a missing vpn.
+        self.ptes = {}
 
     def __len__(self):
-        return len(self._entries)
+        return len(self.ptes)
 
     def __contains__(self, vpn):
-        return vpn in self._entries
+        return vpn in self.ptes
 
     def get(self, vpn):
         """Return the PTE for ``vpn`` or None if never mapped."""
-        return self._entries.get(vpn)
+        return self.ptes.get(vpn)
 
     def ensure(self, vpn):
         """Return the PTE for ``vpn``, creating an absent one if needed."""
-        entry = self._entries.get(vpn)
+        entry = self.ptes.get(vpn)
         if entry is None:
             entry = PageTableEntry()
-            self._entries[vpn] = entry
+            self.ptes[vpn] = entry
         return entry
 
     def map_range(self, start_vpn, npages, present=True, writable=True, dirty=False):
         """Map ``npages`` consecutive pages with uniform permissions."""
         for vpn in range(start_vpn, start_vpn + npages):
-            self._entries[vpn] = PageTableEntry(present, writable, dirty)
+            self.ptes[vpn] = PageTableEntry(present, writable, dirty)
 
     def unmap_range(self, start_vpn, npages):
         """Remove mappings for a freed region."""
         for vpn in range(start_vpn, start_vpn + npages):
-            self._entries.pop(vpn, None)
+            self.ptes.pop(vpn, None)
 
     def entries(self):
         """Iterate over (vpn, PTE) pairs."""
-        return self._entries.items()
+        return self.ptes.items()
 
     def vpns(self):
-        return self._entries.keys()
+        return self.ptes.keys()
 
     def present_vpns(self):
         """All vpns whose pages are currently present."""
-        return [vpn for vpn, pte in self._entries.items() if pte.present]
+        return [vpn for vpn, pte in self.ptes.items() if pte.present]
 
     def dirty_vpns(self):
         """All vpns whose pages are present and dirty."""
-        return [vpn for vpn, pte in self._entries.items() if pte.present and pte.dirty]
+        return [vpn for vpn, pte in self.ptes.items() if pte.present and pte.dirty]
 
     def clone(self):
         """Deep copy (used to build the temporary context's table)."""
         table = PageTable()
-        table._entries = {vpn: pte.copy() for vpn, pte in self._entries.items()}
+        table.ptes = {vpn: pte.copy() for vpn, pte in self.ptes.items()}
         return table
 
     def __repr__(self):
-        return f"PageTable({len(self._entries)} entries)"
+        return f"PageTable({len(self.ptes)} entries)"

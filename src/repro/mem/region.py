@@ -89,10 +89,6 @@ class AddressSpace:
         """Total bytes of live allocations."""
         return self._allocated_bytes
 
-    @property
-    def allocated_pages(self):
-        return sum(region.npages for region in self.regions.values())
-
     def alloc_array(self, name, array):
         """Register a numpy array as a region of this address space.
 
@@ -128,13 +124,6 @@ class AddressSpace:
             raise AllocationError(f"region {region.name!r} is not allocated")
         self.full_table.unmap_range(region.start_vpn, region.npages)
         self._allocated_bytes -= stored.nbytes
-
-    def region_of_vpn(self, vpn):
-        """Find the region containing ``vpn`` (diagnostics only)."""
-        for region in self.regions.values():
-            if region.start_vpn <= vpn < region.end_vpn:
-                return region
-        return None
 
     def unique_name(self, prefix):
         """Generate an unused region name with the given prefix."""

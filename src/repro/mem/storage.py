@@ -22,15 +22,18 @@ class SwapDevice:
         self.config = config
         self.stats = stats
         self.capacity_pages = max(1, capacity_pages)
-        self._resident = OrderedDict()
+        #: vpn -> dirty flag of every DRAM-resident page, in LRU-to-MRU
+        #: order. The compute kernel's and coherence protocol's batch loops
+        #: use it directly, mirroring :meth:`touch_range` and ``in``.
+        self.resident = OrderedDict()
         self._last_fault_vpn = None
 
     def __contains__(self, vpn):
-        return vpn in self._resident
+        return vpn in self.resident
 
     @property
     def resident_pages(self):
-        return len(self._resident)
+        return len(self.resident)
 
     def admit_new(self, vpn):
         """Admit a freshly allocated (anonymous) page without a device read.
@@ -43,28 +46,61 @@ class SwapDevice:
         self._admit(vpn, dirty=True)
 
     def touch(self, vpn, dirty=False):
-        """Access one page; return the fault cost (0.0 on a DRAM hit)."""
-        entry_dirty = self._resident.get(vpn)
+        """Access one page; return the fault cost (0.0 on a DRAM hit).
+
+        The per-page reference of :meth:`touch_batch`.
+        """
+        entry_dirty = self.resident.get(vpn)
         if entry_dirty is not None:
-            self._resident.move_to_end(vpn)
+            self.resident.move_to_end(vpn)
             if dirty and not entry_dirty:
-                self._resident[vpn] = True
+                self.resident[vpn] = True
             return 0.0
         return self._fault_in(vpn, dirty)
+
+    def touch_batch(self, vpns, dirty=False):
+        """Random-order accesses from the monolithic baseline's CPU.
+
+        Returns the fault cost plus each access's DRAM cost by locality: an
+        access to the same page as the one before is a row-buffer hit
+        (``dram_line_ns``), any other pays ``dram_random_ns``. Exactly a
+        plain loop of ``cost += touch(vpn); cost += dram``; DRAM hits are
+        inlined and faults call :meth:`_fault_in`.
+        """
+        line_ns = self.config.dram_line_ns
+        random_ns = self.config.dram_random_ns
+        resident = self.resident
+        get = resident.get
+        move_to_end = resident.move_to_end
+        cost = 0.0
+        prev = None
+        for vpn in vpns:
+            entry_dirty = get(vpn)
+            if entry_dirty is not None:
+                move_to_end(vpn)
+                if dirty and not entry_dirty:
+                    resident[vpn] = True
+            else:
+                cost += self._fault_in(vpn, dirty)
+            cost += line_ns if vpn == prev else random_ns
+            prev = vpn
+        return cost
 
     def touch_range(self, start_vpn, npages, dirty=False):
         """Access consecutive pages; returns total fault cost.
 
         Misses within the range are served with readahead-sized batches.
         """
+        resident = self.resident
+        move_to_end = resident.move_to_end
         total = 0.0
         vpn = start_vpn
         end = start_vpn + npages
         while vpn < end:
-            if vpn in self._resident:
-                self._resident.move_to_end(vpn)
+            if vpn in resident:
+                move_to_end(vpn)
                 if dirty:
-                    self._resident[vpn] = True
+                    resident[vpn] = True
                 vpn += 1
                 continue
             batch = min(self.config.ssd_readahead_pages, end - vpn)
@@ -89,10 +125,10 @@ class SwapDevice:
 
     def _admit(self, vpn, dirty):
         """Insert a page, evicting LRU victims; returns dirty-writeback cost."""
-        self._resident[vpn] = dirty
+        self.resident[vpn] = dirty
         cost = 0.0
-        while len(self._resident) > self.capacity_pages:
-            _victim, victim_dirty = self._resident.popitem(last=False)
+        while len(self.resident) > self.capacity_pages:
+            _victim, victim_dirty = self.resident.popitem(last=False)
             if victim_dirty:
                 # A dirty victim must be flushed to the device before its
                 # frame can be reused; sequential rate (swap-out batches).
@@ -102,7 +138,7 @@ class SwapDevice:
 
     def drop(self, vpn):
         """Forget a page entirely (its region was freed); no write-back."""
-        self._resident.pop(vpn, None)
+        self.resident.pop(vpn, None)
 
     def writeback_cost_ns(self, npages=1):
         """Cost of flushing ``npages`` dirty pages out to the device."""

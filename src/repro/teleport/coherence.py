@@ -114,10 +114,60 @@ class CoherenceProtocol:
     # Figure 9 lines 11-25: memory-side page access during pushdown
     # ------------------------------------------------------------------
     def memory_touch(self, vpn, write, now):
-        """One page access from the temporary context; returns its cost."""
+        """One page access from the temporary context; returns its cost.
+
+        The per-page reference of :meth:`memory_touch_batch`.
+        """
         cost = self._memory_touch(vpn, write, now)
         if self.sanitizer is not None:
             self.sanitizer.swmr_transition(self, "memory_touch", vpn)
+        return cost
+
+    def memory_touch_batch(self, vpns, write, now, sequential=False):
+        """A batch of page accesses from the temporary context; returns
+        its cost.
+
+        Exactly a plain loop over :meth:`memory_touch`. For random order
+        (the default) each access is stamped at ``now`` plus the cost so
+        far and then pays its DRAM cost by locality (``dram_line_ns`` when
+        the page repeats the previous access, ``dram_random_ns``
+        otherwise). A ``sequential`` pass stamps every access at ``now``
+        and leaves the DRAM streaming cost to the caller. A memory-pool
+        resident page that ``t_mm`` already permits, or any resident page
+        under WEAK/OFF, is handled inline; true faults and pushdown faults
+        call the per-page methods.
+        """
+        if sequential:
+            line_ns = random_ns = 0.0
+        else:
+            line_ns = self.config.dram_line_ns
+            random_ns = self.config.dram_random_ns
+        get = self.t_mm.ptes.get if self.t_mm is not None else {}.get
+        in_pool = self.memkernel.pool.resident
+        relaxed = self.mode in (ConsistencyMode.WEAK, ConsistencyMode.OFF)
+        sanitizer = self.sanitizer
+        cost = 0.0
+        prev = None
+        for vpn in vpns:
+            pte = get(vpn)
+            if pte is None or vpn not in in_pool:
+                cost += self._memory_touch(vpn, write, now if sequential else now + cost)
+            elif relaxed:
+                pte.present = True
+                pte.writable = True
+                if write:
+                    pte.dirty = True
+            elif pte.present and (pte.writable or not write):
+                if write:
+                    pte.dirty = True
+            else:
+                cost += self._request_from_compute(
+                    pte, vpn, write, now if sequential else now + cost
+                )
+            if sanitizer is not None:
+                sanitizer.swmr_transition(self, "memory_touch", vpn)
+            cost += line_ns if vpn == prev else random_ns
+            prev = vpn
         return cost
 
     def _memory_touch(self, vpn, write, now):

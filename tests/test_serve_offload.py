@@ -64,10 +64,10 @@ def test_cached_probe_does_not_disturb_lru():
     platform, ctx, region = _platform_with_region()
     ctx.load_slice(region)
     cache = ctx.compkernel.cache
-    order_before = list(cache._entries)
+    order_before = list(cache.entries)
     request = OffloadRequest("r", _scan, args=(region,), regions=(region,))
     OffloadController(platform.config).cached_pages(ctx, request)
-    assert list(cache._entries) == order_before
+    assert list(cache.entries) == order_before
 
 
 def test_queue_depth_steers_decision_local():

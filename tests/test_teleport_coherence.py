@@ -228,6 +228,39 @@ class TestComputeSide:
         assert contended >= platform.config.contention_backoff_ns
         assert platform.stats.coherence_tiebreaks == 1
 
+    @staticmethod
+    def _shared_after_memory_write(platform, process, region):
+        """(R, R) page whose memory-side write upgrade ended at t ~ 2 us."""
+        compute, memory = platform.kernels_for(process)
+        vpn = region.start_vpn
+        compute.cache.insert(vpn, writable=False)
+        protocol = make_protocol(platform, process)
+        protocol.setup(compute.resident_snapshot())
+        compute.protocol = protocol
+        protocol.memory_touch(vpn, write=True, now=0.0)
+        compute.touch_random(memory, vpn, write=False, now=0.0)
+        assert protocol.state_of(vpn) == ("R", "R")
+        return protocol, protocol._mem_upgrade_until[vpn]
+
+    @pytest.mark.parametrize("clock_ns, tiebreaks", [(1_000_000.0, 0), (0.0, 1)])
+    def test_sequential_upgrade_judged_at_caller_clock(self, env, clock_ns, tiebreaks):
+        """A sequential compute write races the memory pool's upgrade only
+        while that upgrade is in flight at the caller's clock."""
+        platform, process, region = env
+        protocol, window_end = self._shared_after_memory_write(platform, process, region)
+        ctx = platform.main_context(process)
+        ctx.charge_ns(clock_ns)
+        assert (window_end > ctx.now) == bool(tiebreaks)
+        before = ctx.now
+        ctx.touch_seq(region, 0, 1, write=True)
+        config = platform.config
+        expected = 2 * config.coherence_msg_ns + config.dram_page_ns
+        if tiebreaks:
+            expected += config.contention_backoff_ns + config.coherence_msg_ns
+        assert platform.stats.coherence_tiebreaks == tiebreaks
+        assert ctx.now - before == expected
+        assert protocol.state_of(region.start_vpn) == ("W", "0")
+
 
 class TestRelaxations:
     """Section 4.2: PSO, weak ordering, coherence off."""
