@@ -259,17 +259,6 @@ def run_fig18_intensity_profile(effort="quick"):
     return result
 
 
-def run_qfilter_executor_sanity(effort="quick"):
-    """Internal: ensures executors agree on answers across platforms."""
-    dataset = tpch_dataset(effort)
-    answers = set()
-    for kind in ("local", "ddc", "teleport"):
-        run = tpch_run(dataset, kind, pushdown="all" if kind == "teleport" else None)
-        answers.add(round(run.run("Qfilter").value, 6))
-    assert len(answers) == 1, f"platforms disagree: {answers}"
-    return answers.pop()
-
-
 # Re-exported for the Figure 18 doc: the executor used by the planner.
 __all__ = [
     "HEADLINE_QUERIES",

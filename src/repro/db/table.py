@@ -66,8 +66,5 @@ class Table:
     def nbytes(self):
         return sum(column.nbytes for column in self.columns.values())
 
-    def column_names(self):
-        return list(self.columns)
-
     def __repr__(self):
         return f"Table({self.name!r}, {self.nrows} rows, {len(self.columns)} columns)"

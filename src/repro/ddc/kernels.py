@@ -35,8 +35,7 @@ class MemoryKernel:
         over capacity the displaced pages pay their fault cost when (and
         if) they are touched again.
         """
-        for vpn in region.all_vpns():
-            self.pool.admit_new(vpn)
+        self.pool.admit_new_range(region.start_vpn, region.npages)
 
     def on_free(self, region):
         """Freed pages vacate pool DRAM immediately (no write-back)."""
@@ -72,8 +71,14 @@ class ComputeKernel:
 
     def on_free(self, region):
         """Drop cached pages of a freed region without write-back."""
-        for vpn in region.all_vpns():
+        for vpn in self._cached_vpns(region):
             self.cache.invalidate(vpn)
+
+    def _cached_vpns(self, region):
+        """The cached vpns that fall in ``region``, collected first: the
+        cache is much smaller than most regions."""
+        start, end = region.start_vpn, region.end_vpn
+        return [vpn for vpn in self.cache.entries if start <= vpn < end]
 
     # ------------------------------------------------------------------
     # Access paths (cost only; data lives in the region's numpy buffer)
@@ -373,10 +378,8 @@ class ComputeKernel:
         dirty = 0
         dropped = 0
         for region in regions:
-            for vpn in region.all_vpns():
+            for vpn in self._cached_vpns(region):
                 entry = self.cache.invalidate(vpn)
-                if entry is None:
-                    continue
                 dropped += 1
                 if entry.dirty:
                     dirty += 1

@@ -76,8 +76,7 @@ class LocalPlatform(Platform):
         return Pool.LOCAL
 
     def on_alloc(self, process, region):
-        for vpn in region.all_vpns():
-            self.swap.admit_new(vpn)
+        self.swap.admit_new_range(region.start_vpn, region.npages)
 
     def on_free(self, process, region):
         for vpn in region.all_vpns():

@@ -9,7 +9,7 @@ permissions), exactly the state the paper's Figures 8 and 9 operate on.
 """
 
 from repro.mem.cache import CacheEntry, PageCache
-from repro.mem.page import PageTableEntry
+from repro.mem.page import DIRTY, PRESENT, WRITABLE, permission
 from repro.mem.page_table import PageTable
 from repro.mem.region import AddressSpace, Region
 from repro.mem.storage import SwapDevice
@@ -17,9 +17,12 @@ from repro.mem.storage import SwapDevice
 __all__ = [
     "AddressSpace",
     "CacheEntry",
+    "DIRTY",
     "PageCache",
+    "PRESENT",
     "PageTable",
-    "PageTableEntry",
     "Region",
     "SwapDevice",
+    "WRITABLE",
+    "permission",
 ]

@@ -1,44 +1,22 @@
-"""Page table entries.
+"""Page table entry bits.
 
-A :class:`PageTableEntry` carries exactly the bits the paper's protocol
-reads and writes (Figures 8 and 9): ``present``, ``writable`` and ``dirty``.
+A page table entry is an ``int`` carrying exactly the bits the paper's
+protocol reads and writes (Figures 8 and 9): :data:`PRESENT`,
+:data:`WRITABLE` and :data:`DIRTY`. A page table is then a plain dict of
+ints, so mapping a range and cloning a table are single dict operations.
 """
 
+PRESENT = 1
+WRITABLE = 2
+DIRTY = 4
 
-class PageTableEntry:
-    """Placement metadata for one virtual page."""
 
-    __slots__ = ("present", "writable", "dirty")
+def permission(bits):
+    """Symbolic permission: '0' absent, 'R' read-only, 'W' writable.
 
-    def __init__(self, present=False, writable=False, dirty=False):
-        self.present = present
-        self.writable = writable
-        self.dirty = dirty
-
-    def copy(self):
-        return PageTableEntry(self.present, self.writable, self.dirty)
-
-    @property
-    def permission(self):
-        """Symbolic permission: '0' absent, 'R' read-only, 'W' writable.
-
-        Matches the state names used in the paper's concurrent-fault
-        analysis (Section 4.1).
-        """
-        if not self.present:
-            return "0"
-        return "W" if self.writable else "R"
-
-    def __eq__(self, other):
-        if not isinstance(other, PageTableEntry):
-            return NotImplemented
-        return (
-            self.present == other.present
-            and self.writable == other.writable
-            and self.dirty == other.dirty
-        )
-
-    def __repr__(self):
-        return (
-            f"PTE(present={self.present}, writable={self.writable}, dirty={self.dirty})"
-        )
+    ``bits`` may be None (never mapped). Matches the state names used in
+    the paper's concurrent-fault analysis (Section 4.1).
+    """
+    if bits is None or not bits & PRESENT:
+        return "0"
+    return "W" if bits & WRITABLE else "R"

@@ -2,21 +2,22 @@
 
 The memory pool holds each process's *full* page table; during pushdown a
 temporary context gets a clone of it (Figure 8). Both are represented by
-:class:`PageTable`, a sparse map from virtual page number (vpn) to
-:class:`~repro.mem.page.PageTableEntry`.
+:class:`PageTable`, a sparse map from virtual page number (vpn) to the
+entry's bits (:mod:`repro.mem.page`).
 """
 
-from repro.mem.page import PageTableEntry
+from repro.mem.page import DIRTY, PRESENT, WRITABLE
 
 
 class PageTable:
-    """Sparse vpn -> PTE mapping."""
+    """Sparse vpn -> PTE bits mapping."""
 
     __slots__ = ("ptes",)
 
     def __init__(self):
-        #: vpn -> PTE. The memory-side batch access loop binds its ``get``
-        #: directly; the loop falls back to :meth:`ensure` for a missing vpn.
+        #: vpn -> PTE bits. The memory-side batch access loop binds its
+        #: ``get`` directly; the loop falls back to :meth:`ensure` for a
+        #: missing vpn.
         self.ptes = {}
 
     def __len__(self):
@@ -26,21 +27,16 @@ class PageTable:
         return vpn in self.ptes
 
     def get(self, vpn):
-        """Return the PTE for ``vpn`` or None if never mapped."""
+        """Return the PTE bits for ``vpn`` or None if never mapped."""
         return self.ptes.get(vpn)
 
     def ensure(self, vpn):
-        """Return the PTE for ``vpn``, creating an absent one if needed."""
-        entry = self.ptes.get(vpn)
-        if entry is None:
-            entry = PageTableEntry()
-            self.ptes[vpn] = entry
-        return entry
+        """Return the PTE bits for ``vpn``, mapping it absent (0) if needed."""
+        return self.ptes.setdefault(vpn, 0)
 
-    def map_range(self, start_vpn, npages, present=True, writable=True, dirty=False):
-        """Map ``npages`` consecutive pages with uniform permissions."""
-        for vpn in range(start_vpn, start_vpn + npages):
-            self.ptes[vpn] = PageTableEntry(present, writable, dirty)
+    def map_range(self, start_vpn, npages, bits=PRESENT | WRITABLE):
+        """Map ``npages`` consecutive pages with uniform bits."""
+        self.ptes.update(dict.fromkeys(range(start_vpn, start_vpn + npages), bits))
 
     def unmap_range(self, start_vpn, npages):
         """Remove mappings for a freed region."""
@@ -48,7 +44,7 @@ class PageTable:
             self.ptes.pop(vpn, None)
 
     def entries(self):
-        """Iterate over (vpn, PTE) pairs."""
+        """Iterate over (vpn, bits) pairs."""
         return self.ptes.items()
 
     def vpns(self):
@@ -56,16 +52,18 @@ class PageTable:
 
     def present_vpns(self):
         """All vpns whose pages are currently present."""
-        return [vpn for vpn, pte in self.ptes.items() if pte.present]
+        return [vpn for vpn, bits in self.ptes.items() if bits & PRESENT]
 
     def dirty_vpns(self):
         """All vpns whose pages are present and dirty."""
-        return [vpn for vpn, pte in self.ptes.items() if pte.present and pte.dirty]
+        both = PRESENT | DIRTY
+        return [vpn for vpn, bits in self.ptes.items() if bits & both == both]
 
     def clone(self):
-        """Deep copy (used to build the temporary context's table)."""
+        """Copy (used to build the temporary context's table); the bits
+        are ints, so a shallow dict copy is a full copy."""
         table = PageTable()
-        table.ptes = {vpn: pte.copy() for vpn, pte in self.ptes.items()}
+        table.ptes = self.ptes.copy()
         return table
 
     def __repr__(self):

@@ -103,7 +103,7 @@ class AddressSpace:
         region = Region(name, self._next_vpn, npages, array, self.page_size)
         self._next_vpn += npages + self._GUARD_PAGES
         self.regions[name] = region
-        self.full_table.map_range(region.start_vpn, npages, present=True, writable=True)
+        self.full_table.map_range(region.start_vpn, npages)
         self._allocated_bytes += array.nbytes
         return region
 

@@ -41,9 +41,43 @@ class SwapDevice:
         Used at allocation time: new pages are DRAM-resident and dirty with
         respect to storage. Eviction side effects still apply, but no fault
         is counted and no cost is returned — allocation is setup, and the
-        cost of any displaced pages is paid when they fault back in.
+        cost of any displaced pages is paid when they fault back in. The
+        per-page reference of :meth:`admit_new_range`.
         """
         self._admit(vpn, dirty=True)
+
+    def admit_new_range(self, start_vpn, npages):
+        """Admit ``npages`` fresh pages from ``start_vpn``.
+
+        Exactly :meth:`admit_new` per page: victims leave oldest first,
+        the earliest new pages too once the old ones are gone, and every
+        dirty victim (each displaced fresh page is one) counts one
+        ``storage_pages_out``. The old victims are popped first and only
+        the surviving new pages are inserted, so ``resident`` never grows
+        past capacity. A range that overlaps resident pages takes the
+        per-page path; that happens on the monolithic host, whose one
+        device serves every process and every address space starts at
+        vpn 0.
+        """
+        vpns = range(start_vpn, start_vpn + npages)
+        resident = self.resident
+        if not resident.keys().isdisjoint(vpns):
+            for vpn in vpns:
+                self._admit(vpn, dirty=True)
+            return
+        excess = len(resident) + npages - self.capacity_pages
+        if excess > 0:
+            old_victims = min(excess, len(resident))
+            displaced_new = excess - old_victims
+            pages_out = displaced_new
+            popitem = resident.popitem
+            for _ in range(old_victims):
+                _victim, victim_dirty = popitem(last=False)
+                if victim_dirty:
+                    pages_out += 1
+            self.stats.storage_pages_out += pages_out
+            vpns = vpns[displaced_new:]
+        resident.update(dict.fromkeys(vpns, True))
 
     def touch(self, vpn, dirty=False):
         """Access one page; return the fault cost (0.0 on a DRAM hit).

@@ -11,13 +11,3 @@ GIB = 1024 * MIB
 US = 1_000.0
 MS = 1_000_000.0
 SEC = 1_000_000_000.0
-
-
-def ns_to_seconds(ns):
-    """Convert virtual nanoseconds to seconds (for reporting)."""
-    return ns / SEC
-
-
-def gbps_to_bytes_per_ns(gbps):
-    """Convert a link rate in gigabits/second to bytes per nanosecond."""
-    return gbps / 8.0

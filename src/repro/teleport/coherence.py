@@ -23,7 +23,21 @@ The protocol preserves the Single-Writer-Multiple-Reader invariant, which
 """
 
 from repro.errors import CoherenceViolation
+from repro.mem.page import DIRTY, PRESENT, WRITABLE, permission
 from repro.teleport.flags import ConsistencyMode
+
+
+def _owned(bits, write):
+    """The bits of a page the memory side now owns: present and writable,
+    and dirty after a write."""
+    return bits | PRESENT | WRITABLE | (DIRTY if write else 0)
+
+
+#: Every PTE value (three bits: 0-7) ``t_mm`` lets the memory side read,
+#: and write, without a pushdown fault: present, and for a write also
+#: writable. One set lookup is cheaper than testing bits in the batch loop.
+_PERMITS_READ = frozenset(bits for bits in range(8) if bits & PRESENT)
+_PERMITS_WRITE = frozenset(bits for bits in _PERMITS_READ if bits & WRITABLE)
 
 
 class CoherenceProtocol:
@@ -64,24 +78,24 @@ class CoherenceProtocol:
         (vpn, writable) pairs. Returns the setup cost in ns.
         """
         self.t_mm = self.full_table.clone()
+        ptes = self.t_mm.ptes
         for vpn, writable in resident:
-            pte = self.t_mm.get(vpn)
-            if pte is None or not pte.present:
+            bits = ptes.get(vpn)
+            if bits is None or not bits & PRESENT:
                 continue
-            self._invalidate(pte, write=writable)
+            ptes[vpn] = self._invalidated(bits, write=writable)
         if self.sanitizer is not None:
             # The freshly built temporary context must satisfy SWMR.
             self.sanitizer.swmr_transition(self, "setup")
         return self.config.context_base_ns + self.config.pte_clone_ns * len(resident)
 
     @staticmethod
-    def _invalidate(pte, write):
-        """Figure 8/9's ``Invalidate``: drop or downgrade a mapping."""
+    def _invalidated(bits, write):
+        """Figure 8/9's ``Invalidate``: the bits of a dropped (write) or
+        downgraded (read) mapping; the dirty bit is kept."""
         if write:
-            pte.present = False
-            pte.writable = False
-        else:
-            pte.writable = False
+            return bits & DIRTY
+        return bits & ~WRITABLE
 
     # ------------------------------------------------------------------
     # Figure 9 lines 3-10: memory-side handling of a compute-pool fault
@@ -95,19 +109,20 @@ class CoherenceProtocol:
         """
         if self.mode in (ConsistencyMode.WEAK, ConsistencyMode.OFF) or self.t_mm is None:
             return
-        pte = self.t_mm.get(vpn)
-        if pte is None or not pte.present:
+        ptes = self.t_mm.ptes
+        bits = ptes.get(vpn)
+        if bits is None or not bits & PRESENT:
             return
         if write:
             if self.mode is ConsistencyMode.PSO:
                 # PSO relaxation: set read-only instead of removing.
-                pte.writable = False
+                ptes[vpn] = bits & ~WRITABLE
                 self.stats.coherence_downgrades += 1
             else:
-                self._invalidate(pte, write=True)
+                ptes[vpn] = self._invalidated(bits, write=True)
                 self.stats.coherence_invalidations += 1
-        elif pte.writable:
-            pte.writable = False
+        elif bits & WRITABLE:
+            ptes[vpn] = bits & ~WRITABLE
             self.stats.coherence_downgrades += 1
 
     # ------------------------------------------------------------------
@@ -142,27 +157,28 @@ class CoherenceProtocol:
         else:
             line_ns = self.config.dram_line_ns
             random_ns = self.config.dram_random_ns
-        get = self.t_mm.ptes.get if self.t_mm is not None else {}.get
+        ptes = self.t_mm.ptes if self.t_mm is not None else {}
+        get = ptes.get
+        owned = _owned(0, write)
+        permitted = _PERMITS_WRITE if write else _PERMITS_READ
         in_pool = self.memkernel.pool.resident
         relaxed = self.mode in (ConsistencyMode.WEAK, ConsistencyMode.OFF)
         sanitizer = self.sanitizer
         cost = 0.0
         prev = None
         for vpn in vpns:
-            pte = get(vpn)
-            if pte is None or vpn not in in_pool:
+            bits = get(vpn)
+            if bits is None or vpn not in in_pool:
                 cost += self._memory_touch(vpn, write, now if sequential else now + cost)
             elif relaxed:
-                pte.present = True
-                pte.writable = True
-                if write:
-                    pte.dirty = True
-            elif pte.present and (pte.writable or not write):
-                if write:
-                    pte.dirty = True
+                ptes[vpn] = bits | owned
+            elif bits in permitted:
+                # A permitted write leaves the page owned and dirty.
+                if write and bits != owned:
+                    ptes[vpn] = owned
             else:
                 cost += self._request_from_compute(
-                    pte, vpn, write, now if sequential else now + cost
+                    vpn, write, now if sequential else now + cost
                 )
             if sanitizer is not None:
                 sanitizer.swmr_transition(self, "memory_touch", vpn)
@@ -172,42 +188,39 @@ class CoherenceProtocol:
 
     def _memory_touch(self, vpn, write, now):
         cost = 0.0
-        pte = self.t_mm.ensure(vpn) if self.t_mm is not None else None
+        t_mm = self.t_mm
+        bits = t_mm.ensure(vpn) if t_mm is not None else None
         # 'True' page fault: the page is not in memory-pool DRAM at all —
         # fault to storage and map it in both mm and t_mm (lines 14-15).
         if not self.memkernel.is_resident(vpn):
             cost += self.memkernel.ensure_resident(vpn, write=write)
-            if pte is not None:
-                pte.present = True
-                pte.writable = True
-                pte.dirty = pte.dirty or write
+            if t_mm is not None:
+                t_mm.ptes[vpn] = _owned(bits, write)
             return cost
-        if pte is None:
+        if t_mm is None:
             # No temporary context (coherence fully off): plain local access.
             return cost
         if self.mode in (ConsistencyMode.WEAK, ConsistencyMode.OFF):
-            pte.present = True
-            pte.writable = True
-            pte.dirty = pte.dirty or write
+            t_mm.ptes[vpn] = _owned(bits, write)
             return cost
-        if pte.present and (not write or pte.writable):
+        if bits & PRESENT and (not write or bits & WRITABLE):
             if write:
-                pte.dirty = True
+                t_mm.ptes[vpn] = bits | DIRTY
             return cost
         # Pushdown fault: the compute pool holds a conflicting copy
         # (lines 16-17 send the request; lines 18-25 handle it there).
-        cost += self._request_from_compute(pte, vpn, write, now)
+        cost += self._request_from_compute(vpn, write, now)
         return cost
 
-    def _request_from_compute(self, pte, vpn, write, now):
+    def _request_from_compute(self, vpn, write, now):
         """MemoryOnPageFault's remote leg: invalidate/downgrade the cache."""
+        ptes = self.t_mm.ptes
+        bits = ptes[vpn]
         entry = self.cache.peek(vpn)
         if entry is None:
             # The compute pool evicted the page after the resident list was
             # taken; its write-back already returned ownership silently.
-            pte.present = True
-            pte.writable = True
-            pte.dirty = pte.dirty or write
+            ptes[vpn] = _owned(bits, write)
             return 0.0
         if self.platform.tracer.enabled:
             self.platform.tracer.emit(
@@ -228,9 +241,7 @@ class CoherenceProtocol:
             if dirty:
                 self.stats.dirty_writebacks += 1
             cost += self.network.coherence_message_ns(with_page=dirty)  # reply
-            pte.present = True
-            pte.writable = True
-            pte.dirty = True
+            ptes[vpn] = bits | PRESENT | WRITABLE | DIRTY
             # Record the in-flight upgrade window for tie-break emulation.
             self._mem_upgrade_until[vpn] = now + cost
         else:
@@ -239,8 +250,7 @@ class CoherenceProtocol:
             if was_dirty:
                 self.stats.dirty_writebacks += 1
             cost += self.network.coherence_message_ns(with_page=was_dirty)  # reply
-            pte.present = True
-            pte.writable = False
+            ptes[vpn] = (bits | PRESENT) & ~WRITABLE
         self.online_sync_ns += cost
         return cost
 
@@ -264,9 +274,10 @@ class CoherenceProtocol:
                 self.platform.tracer.emit(
                     now, "coherence", vpn=vpn, side="compute", action="tiebreak-loss",
                 )
-        pte = self.t_mm.get(vpn)
-        if pte is not None and pte.present:
-            self._invalidate(pte, write=self.mode is not ConsistencyMode.PSO)
+        ptes = self.t_mm.ptes
+        bits = ptes.get(vpn)
+        if bits is not None and bits & PRESENT:
+            ptes[vpn] = self._invalidated(bits, write=self.mode is not ConsistencyMode.PSO)
             if self.mode is ConsistencyMode.PSO:
                 self.stats.coherence_downgrades += 1
             else:
@@ -286,10 +297,10 @@ class CoherenceProtocol:
         """
         if self.t_mm is None:
             return
-        pte = self.t_mm.get(vpn)
-        if pte is not None:
-            pte.present = True
-            pte.writable = True
+        ptes = self.t_mm.ptes
+        bits = ptes.get(vpn)
+        if bits is not None:
+            ptes[vpn] = bits | PRESENT | WRITABLE
         if self.sanitizer is not None:
             self.sanitizer.swmr_transition(self, "compute_evict", vpn)
 
@@ -313,8 +324,8 @@ class CoherenceProtocol:
             return 0.0
         stale = [
             vpn
-            for vpn, pte in self.t_mm.entries()
-            if pte.dirty and vpn in self.cache
+            for vpn, bits in self.t_mm.entries()
+            if bits & DIRTY and vpn in self.cache
         ]
         if not stale:
             return 0.0
@@ -339,11 +350,12 @@ class CoherenceProtocol:
             # Full sweep at session end, complementing the O(1)
             # single-page checks done per transition.
             self.sanitizer.swmr_transition(self, "finish")
-        for vpn, pte in self.t_mm.entries():
-            if pte.dirty:
-                full = self.full_table.get(vpn)
-                if full is not None:
-                    full.dirty = True
+        full = self.full_table.ptes
+        for vpn, bits in self.t_mm.entries():
+            if bits & DIRTY:
+                full_bits = full.get(vpn)
+                if full_bits is not None:
+                    full[vpn] = full_bits | DIRTY
         self.t_mm = None
         self._mem_upgrade_until.clear()
 
@@ -369,14 +381,14 @@ class CoherenceProtocol:
             self._check_swmr_pair(resident_vpn, entry)
 
     def _check_swmr_pair(self, vpn, entry):
-        pte = self.t_mm.get(vpn)
-        if pte is None or not pte.present:
+        bits = self.t_mm.get(vpn)
+        if bits is None or not bits & PRESENT:
             return
         if entry.writable:
             raise CoherenceViolation(
                 f"page {vpn}: writable in compute pool but mapped in t_mm"
             )
-        if pte.writable:
+        if bits & WRITABLE:
             raise CoherenceViolation(
                 f"page {vpn}: writable in t_mm but cached in compute pool"
             )
@@ -387,6 +399,4 @@ class CoherenceProtocol:
         compute = entry.permission if entry is not None else "0"
         if self.t_mm is None:
             return compute, "0"
-        pte = self.t_mm.get(vpn)
-        memory = pte.permission if pte is not None else "0"
-        return compute, memory
+        return compute, permission(self.t_mm.get(vpn))

@@ -92,10 +92,6 @@ class RpcServer:
             raise ReproError(f"no completion record for request {request_id!r}")
         self.dedup_replies += 1
 
-    def execution_count(self, request_id):
-        """How many times a request ID's function actually ran."""
-        return self._executions.get(request_id, 0)
-
     def execution_counts(self):
         """Copy of the full request-ID -> execution-count map."""
         return dict(self._executions)

@@ -23,6 +23,7 @@ from repro.errors import (
     ReproError,
     SanitizerViolation,
 )
+from repro.mem.page import PRESENT, WRITABLE
 from repro.sim.clock import VirtualClock
 from repro.sim.config import DdcConfig
 from repro.sim.units import KIB
@@ -123,9 +124,7 @@ class TestSwmrSanitizer:
         )
         # The corruption: t_mm claims the page while the compute pool
         # holds it writable — two writers, the invariant SWMR forbids.
-        pte = protocol.t_mm.ensure(vpn)
-        pte.present = True
-        pte.writable = True
+        protocol.t_mm.ptes[vpn] = protocol.t_mm.ensure(vpn) | PRESENT | WRITABLE
         return protocol, vpn
 
     def test_intentional_break_caught_per_transition(self, fresh_suite):

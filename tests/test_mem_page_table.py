@@ -1,31 +1,20 @@
-"""Tests for PTEs and sparse page tables."""
+"""Tests for PTE bits and sparse page tables."""
 
-from repro.mem.page import PageTableEntry
+from repro.mem.page import DIRTY, PRESENT, WRITABLE, permission
 from repro.mem.page_table import PageTable
 
 
 def test_pte_defaults_absent():
-    pte = PageTableEntry()
-    assert not pte.present
-    assert pte.permission == "0"
+    table = PageTable()
+    assert not table.ensure(0) & PRESENT
+    assert permission(table.get(0)) == "0"
+    assert permission(None) == "0"
 
 
 def test_pte_permission_symbols():
-    assert PageTableEntry(present=True, writable=True).permission == "W"
-    assert PageTableEntry(present=True, writable=False).permission == "R"
-    assert PageTableEntry(present=False).permission == "0"
-
-
-def test_pte_copy_is_independent():
-    pte = PageTableEntry(present=True, writable=True, dirty=True)
-    other = pte.copy()
-    other.dirty = False
-    assert pte.dirty
-
-
-def test_pte_equality():
-    assert PageTableEntry(True, True) == PageTableEntry(True, True)
-    assert PageTableEntry(True, True) != PageTableEntry(True, False)
+    assert permission(PRESENT | WRITABLE) == "W"
+    assert permission(PRESENT) == "R"
+    assert permission(WRITABLE | DIRTY) == "0"
 
 
 def test_empty_table():
@@ -37,18 +26,19 @@ def test_empty_table():
 
 def test_ensure_creates_absent_entry():
     table = PageTable()
-    pte = table.ensure(5)
-    assert not pte.present
-    assert table.get(5) is pte
+    bits = table.ensure(5)
+    assert not bits & PRESENT
+    assert table.get(5) == bits == 0
     assert len(table) == 1
 
 
 def test_map_range():
     table = PageTable()
-    table.map_range(10, 4, present=True, writable=True)
+    table.map_range(10, 4)
     assert len(table) == 4
-    assert table.get(10).present
-    assert table.get(13).writable
+    assert table.get(10) & PRESENT
+    assert table.get(13) & WRITABLE
+    assert not table.get(13) & DIRTY
     assert table.get(14) is None
 
 
@@ -63,18 +53,18 @@ def test_unmap_range():
 
 def test_present_and_dirty_vpn_queries():
     table = PageTable()
-    table.map_range(0, 3, present=True, writable=True)
+    table.map_range(0, 3)
     table.ensure(100)  # absent
-    table.get(1).dirty = True
+    table.ptes[1] |= DIRTY
     assert sorted(table.present_vpns()) == [0, 1, 2]
     assert table.dirty_vpns() == [1]
 
 
 def test_clone_is_deep():
     table = PageTable()
-    table.map_range(0, 2, present=True, writable=True)
+    table.map_range(0, 2)
     clone = table.clone()
-    clone.get(0).present = False
-    assert table.get(0).present
-    assert not clone.get(0).present
+    clone.ptes[0] &= ~PRESENT
+    assert table.get(0) & PRESENT
+    assert not clone.get(0) & PRESENT
     assert len(clone) == 2

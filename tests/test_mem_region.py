@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import AccessError, AllocationError
+from repro.mem.page import PRESENT, WRITABLE
 from repro.mem.region import AddressSpace
 
 PAGE = 4096
@@ -18,8 +19,8 @@ def test_alloc_array_registers_pages(space):
     region = space.alloc_array("a", np.zeros(1024, dtype=np.float64))  # 8 KiB
     assert region.npages == 2
     assert region.nbytes == 8192
-    assert space.full_table.get(region.start_vpn).present
-    assert space.full_table.get(region.start_vpn + 1).writable
+    assert space.full_table.get(region.start_vpn) & PRESENT
+    assert space.full_table.get(region.start_vpn + 1) & WRITABLE
 
 
 def test_regions_do_not_overlap(space):

@@ -1,10 +1,12 @@
 """Tests for the microbenchmark package (Figures 6, 7, 17, 21, 22)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError, ReproError
 from repro.micro import MicroSpec, parallel_aggregation_speedups, run_micro
 from repro.micro.scheduler import interleave
+from repro.micro.workloads import _Runner
 from repro.sim.clock import VirtualClock
 from repro.sim.config import DdcConfig, scaled_config
 from repro.sim.units import MIB
@@ -181,3 +183,26 @@ class TestScheduler:
         times = [t for _n, t in trace]
         assert times == sorted(times)
         assert [n for n, _t in trace].count("fast") == 4
+
+
+class TestAccessStream:
+    """The memory thread's index stream is the one Figs 6, 7, 21 and 22
+    were made with: the draws after ``random(n_floats)`` on the config's
+    seed. The space is no longer filled from the generator, so this pins
+    the stream against a change in how many draws ``random`` consumes."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("space_mib", [1, 8])
+    def test_indices_follow_the_space_draws(self, seed, space_mib):
+        spec = MicroSpec(
+            mem_space_bytes=space_mib * MIB, n_accesses=5_000, compute_ops=1_000_000,
+        )
+        config = scaled_config(spec.mem_space_bytes, cache_ratio=0.02, seed=seed)
+        n_floats = spec.mem_space_bytes // 8
+        rng = np.random.default_rng(seed)
+        assert isinstance(rng.bit_generator, np.random.PCG64)
+        rng.random(n_floats)
+        expected = rng.integers(0, n_floats, size=spec.n_accesses)
+        runner = _Runner(spec, config, "base_ddc")
+        np.testing.assert_array_equal(runner.indices, expected)
+        assert not runner.big.array.any()

@@ -10,7 +10,8 @@ helpers, ``CoherenceProtocol.memory_touch``) with the same DRAM-locality
 accounting. Two identical platforms replay one random access stream, one
 through the context and its loops, the other through the reference loops
 below, and every observable must agree: clocks as floats, ``Stats``, cache
-and memory-pool LRU order with dirty bits, every ``t_mm`` PTE, the
+and memory-pool LRU order with dirty bits, the PTE bits of ``t_mm`` and of
+the full table (into which ``finish`` merges dirty bits at the end), the
 in-flight upgrade windows, tracer events and sanitizer checks.
 """
 
@@ -190,12 +191,11 @@ class Env:
             ]
             swap = memory.pool
         state["swap"] = (list(swap.resident.items()), swap._last_fault_vpn)
+        state["full_table"] = list(self.process.address_space.full_table.entries())
         if self.protocol is not None:
             protocol = self.protocol
-            state["t_mm"] = [
-                (vpn, pte.present, pte.writable, pte.dirty)
-                for vpn, pte in protocol.t_mm.entries()
-            ]
+            t_mm = protocol.t_mm
+            state["t_mm"] = list(t_mm.entries()) if t_mm is not None else None
             state["upgrades"] = list(protocol._mem_upgrade_until.items())
             state["online_sync_ns"] = protocol.online_sync_ns
         return state
@@ -223,6 +223,12 @@ def run_reference(env, op, side, write, arg):
     ctx.charge_ns(cost)
 
 
+def finish_pushdown(env):
+    """End the pushdown: ``finish`` merges t_mm's dirty bits into the full
+    table."""
+    env.protocol.finish()
+
+
 def checked(env, run, op):
     """Run one batch; (SWMR checks it made, sanitizer violation or None)."""
     before = env.swmr_checks()
@@ -245,6 +251,10 @@ def replay(kind, config, ops, mode=None, trace=False):
         if outcome[1] is not None:
             # Both sides raised the same violation at the same access.
             return
+    if mode is not None:
+        outcome = checked(engine, finish_pushdown, ())
+        assert outcome == checked(reference, finish_pushdown, ())
+        assert engine.state() == reference.state()
 
 
 def config(spill=False, sanitize=False):

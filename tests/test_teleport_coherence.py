@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ddc import make_platform
+from repro.mem.page import DIRTY, PRESENT, WRITABLE
 from repro.sim.config import DdcConfig
 from repro.sim.units import MIB
 from repro.teleport.coherence import CoherenceProtocol
@@ -36,24 +37,23 @@ class TestSetup:
         protocol = make_protocol(platform, process)
         vpn = region.start_vpn
         protocol.setup([(vpn, True)])
-        pte = protocol.t_mm.get(vpn)
-        assert not pte.present
+        assert not protocol.t_mm.get(vpn) & PRESENT
 
     def test_read_only_compute_pages_downgraded_in_t_mm(self, env):
         platform, process, region = env
         protocol = make_protocol(platform, process)
         vpn = region.start_vpn
         protocol.setup([(vpn, False)])
-        pte = protocol.t_mm.get(vpn)
-        assert pte.present
-        assert not pte.writable
+        bits = protocol.t_mm.get(vpn)
+        assert bits & PRESENT
+        assert not bits & WRITABLE
 
     def test_absent_pages_stay_fully_mapped(self, env):
         platform, process, region = env
         protocol = make_protocol(platform, process)
         protocol.setup([(region.start_vpn, True)])
         other = protocol.t_mm.get(region.start_vpn + 1)
-        assert other.present and other.writable
+        assert other & PRESENT and other & WRITABLE
 
     def test_setup_cost_scales_with_resident_list(self, env):
         platform, process, region = env
@@ -95,7 +95,7 @@ class TestMemoryTouch:
         assert cost > 0
         assert vpn not in compute.cache
         assert platform.stats.coherence_invalidations == 1
-        assert protocol.t_mm.get(vpn).writable
+        assert protocol.t_mm.get(vpn) & WRITABLE
         protocol.check_swmr()
 
     def test_read_of_compute_writable_page_downgrades(self, env):
@@ -110,8 +110,8 @@ class TestMemoryTouch:
         entry = compute.cache.peek(vpn)
         assert entry is not None and not entry.writable
         assert platform.stats.coherence_downgrades >= 1
-        pte = protocol.t_mm.get(vpn)
-        assert pte.present and not pte.writable
+        bits = protocol.t_mm.get(vpn)
+        assert bits & PRESENT and not bits & WRITABLE
         protocol.check_swmr()
 
     def test_upgrade_of_shared_read_page(self, env):
@@ -124,7 +124,7 @@ class TestMemoryTouch:
         # (R, R) -> memory wants W: compute copy must be invalidated.
         protocol.memory_touch(vpn, write=True, now=0.0)
         assert vpn not in compute.cache
-        assert protocol.t_mm.get(vpn).writable
+        assert protocol.t_mm.get(vpn) & WRITABLE
         protocol.check_swmr()
 
     def test_compute_evicted_page_regained_silently(self, env):
@@ -181,9 +181,9 @@ class TestComputeSide:
         protocol = make_protocol(platform, process)
         protocol.setup([])
         vpn = region.start_vpn
-        assert protocol.t_mm.get(vpn).present
+        assert protocol.t_mm.get(vpn) & PRESENT
         protocol.on_compute_fetch(vpn, write=True)
-        assert not protocol.t_mm.get(vpn).present
+        assert not protocol.t_mm.get(vpn) & PRESENT
         assert platform.stats.coherence_invalidations == 1
 
     def test_compute_fetch_for_read_downgrades_t_mm(self, env):
@@ -192,8 +192,8 @@ class TestComputeSide:
         protocol.setup([])
         vpn = region.start_vpn
         protocol.on_compute_fetch(vpn, write=False)
-        pte = protocol.t_mm.get(vpn)
-        assert pte.present and not pte.writable
+        bits = protocol.t_mm.get(vpn)
+        assert bits & PRESENT and not bits & WRITABLE
         assert platform.stats.coherence_downgrades == 1
 
     def test_compute_upgrade_invalidates_memory_copy(self, env):
@@ -205,7 +205,7 @@ class TestComputeSide:
         protocol.setup(compute.resident_snapshot())
         cost = protocol.compute_upgrade(vpn, now=0.0)
         assert cost > 0
-        assert not protocol.t_mm.get(vpn).present
+        assert not protocol.t_mm.get(vpn) & PRESENT
 
     def test_tiebreak_favours_memory_pool(self, env):
         platform, process, region = env
@@ -359,9 +359,9 @@ class TestFinish:
         protocol.setup([])
         vpn = region.start_vpn
         protocol.memory_touch(vpn, write=True, now=0.0)
-        assert protocol.t_mm.get(vpn).dirty
+        assert protocol.t_mm.get(vpn) & DIRTY
         protocol.finish()
-        assert process.address_space.full_table.get(vpn).dirty
+        assert process.address_space.full_table.get(vpn) & DIRTY
         assert protocol.t_mm is None
 
     def test_state_of_reports_pair(self, env):
