@@ -165,7 +165,8 @@ class ExecutionContext:
         k-th access runs through the exact batch loop and cost plus
         counters are scaled back up. This is the engine's one remaining
         approximation; it keeps multi-million access workloads tractable
-        while preserving hit rates and shapes.
+        while preserving hit rates and shapes. The sample goes through the
+        same run-collapsing path as an exact batch.
         """
         n = len(vpns)
         if n > self.config.access_sample_threshold:
@@ -184,21 +185,35 @@ class ExecutionContext:
         Per-access DRAM cost depends on locality: an access to the same
         page as the previous one is a row-buffer hit (``dram_line_ns``); a
         page change pays full DRAM latency (``dram_random_ns``). Misses
-        additionally pay the pool-specific fault path. The vpns become
-        Python ints once here; each pool's batch loop (``SwapDevice``,
-        ``ComputeKernel``, ``CoherenceProtocol``) is exact against a plain
-        loop over that pool's per-page method.
+        additionally pay the pool-specific fault path. One numpy pass
+        splits the batch into same-page runs, handed over as Python ints:
+        run heads, and run lengths unless every run is one access. A
+        one-page batch skips numpy. Each pool's batch loop (``SwapDevice``,
+        ``ComputeKernel``, ``CoherenceProtocol``) does the per-page work
+        once per run and is exact against a plain loop over that pool's
+        per-page method for every access.
         """
+        n = len(vpns)
+        counts = None
+        if n > 1:
+            vpns = np.asarray(vpns)
+            starts = np.flatnonzero(vpns[1:] != vpns[:-1]) + 1
+            if len(starts) < n - 1:
+                starts = np.concatenate(([0], starts))
+                counts = np.diff(starts, append=n).tolist()
+                vpns = vpns[starts]
         if isinstance(vpns, np.ndarray):
             vpns = vpns.tolist()
         pool = self.pool
         if pool is Pool.LOCAL:
-            return self.platform.swap.touch_batch(vpns, dirty=write)
+            return self.platform.swap.touch_batch(vpns, dirty=write, counts=counts)
         if pool is Pool.COMPUTE:
-            return self.compkernel.touch_random_batch(self.memkernel, vpns, write, self.now)
+            return self.compkernel.touch_random_batch(
+                self.memkernel, vpns, write, self.now, counts=counts
+            )
         if pool is Pool.MEMORY:
-            cost = self.protocol.memory_touch_batch(vpns, write, self.now)
-            self.stats.memory_side_page_touches += len(vpns)
+            cost = self.protocol.memory_touch_batch(vpns, write, self.now, counts=counts)
+            self.stats.memory_side_page_touches += n
             return cost
         raise ReproError(f"unknown pool {pool!r}")
 

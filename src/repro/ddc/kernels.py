@@ -12,8 +12,11 @@ route the relevant transitions through the attached
 Single-Writer-Multiple-Reader invariant holds across the pools.
 """
 
+from itertools import repeat
+
 from repro.mem.cache import CacheEntry, PageCache
 from repro.mem.storage import SwapDevice
+from repro.sim.clock import add_repeated
 
 
 class MemoryKernel:
@@ -107,17 +110,21 @@ class ComputeKernel:
             self.platform.tracer.emit(now, "fault", vpn=vpn, write=write)
         return self._fetch(memkernel, vpn, npages=1, write=write)
 
-    def touch_random_batch(self, memkernel, vpns, write, now):
+    def touch_random_batch(self, memkernel, vpns, write, now, counts=None):
         """A batch of random-order page touches; returns its cost.
 
+        ``vpns`` are runs: each differs from the one before and is accessed
+        ``counts[i]`` times back to back (once when ``counts`` is None).
         Exactly a plain loop of ``cost += touch_random(memkernel, vpn,
-        write, now + cost)`` followed by the access's DRAM cost by
-        locality: ``dram_line_ns`` when the page repeats the previous
-        access, ``dram_random_ns`` otherwise. Hits and faults run inline,
-        with their counters kept locally and added to ``Stats`` once; the
-        memory pool is asked for a page only when it spilled it, and write
+        write, now + cost)`` over every access, followed by the access's
+        DRAM cost by locality: ``dram_random_ns`` for a run's first access,
+        ``dram_line_ns`` for its repeats. Hits and faults run inline, with
+        their counters kept locally and added to ``Stats`` once; the memory
+        pool is asked for a page only when it spilled it, and write
         upgrades and the coherence hooks call the methods ``touch_random``
-        uses.
+        uses. A repeat finds its page cached at the MRU end, writable and
+        dirty after a write, so it is one more hit and ``dram_line_ns``
+        (summed by :func:`~repro.sim.clock.add_repeated`).
         """
         config = self.config
         line_ns = config.dram_line_ns
@@ -137,9 +144,9 @@ class ComputeKernel:
         tracing = tracer.enabled
         hits = misses = evictions = writebacks = 0
         cost = 0.0
-        prev = None
+        bound = 0.0
         try:
-            for vpn in vpns:
+            for vpn, count in zip(vpns, repeat(1) if counts is None else counts):
                 entry = get(vpn)
                 if entry is not None:
                     move_to_end(vpn)
@@ -173,8 +180,14 @@ class ComputeKernel:
                     if sanitizers is not None:
                         sanitizers.swmr_transition(protocol, "compute_fetch", vpn)
                     cost += fault
-                cost += line_ns if vpn == prev else random_ns
-                prev = vpn
+                cost += random_ns
+                if count > 1:
+                    hits += count - 1
+                    span = (count - 1) * line_ns
+                    if cost + span < bound:
+                        cost += span
+                    else:
+                        cost, bound = add_repeated(cost, count - 1, line_ns)
         finally:
             self._count(hits, misses, misses, evictions, writebacks)
         return cost

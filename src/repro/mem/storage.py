@@ -8,6 +8,9 @@ full device + software path each time).
 """
 
 from collections import OrderedDict
+from itertools import repeat
+
+from repro.sim.clock import add_repeated
 
 
 class SwapDevice:
@@ -92,14 +95,18 @@ class SwapDevice:
             return 0.0
         return self._fault_in(vpn, dirty)
 
-    def touch_batch(self, vpns, dirty=False):
+    def touch_batch(self, vpns, dirty=False, counts=None):
         """Random-order accesses from the monolithic baseline's CPU.
 
-        Returns the fault cost plus each access's DRAM cost by locality: an
-        access to the same page as the one before is a row-buffer hit
-        (``dram_line_ns``), any other pays ``dram_random_ns``. Exactly a
-        plain loop of ``cost += touch(vpn); cost += dram``; DRAM hits are
-        inlined and faults call :meth:`_fault_in`.
+        ``vpns`` are runs: each differs from the one before and is accessed
+        ``counts[i]`` times back to back (once when ``counts`` is None).
+        Returns the fault cost plus each access's DRAM cost by locality: a
+        run's first access pays ``dram_random_ns``, its repeats are
+        row-buffer hits (``dram_line_ns``). Exactly a plain loop of ``cost
+        += touch(vpn); cost += dram`` over every access; DRAM hits are
+        inlined, faults call :meth:`_fault_in`, and a repeat finds its page
+        resident at the MRU end with the dirty bit set, so it only adds
+        ``dram_line_ns`` (summed by :func:`~repro.sim.clock.add_repeated`).
         """
         line_ns = self.config.dram_line_ns
         random_ns = self.config.dram_random_ns
@@ -107,8 +114,8 @@ class SwapDevice:
         get = resident.get
         move_to_end = resident.move_to_end
         cost = 0.0
-        prev = None
-        for vpn in vpns:
+        bound = 0.0
+        for vpn, count in zip(vpns, repeat(1) if counts is None else counts):
             entry_dirty = get(vpn)
             if entry_dirty is not None:
                 move_to_end(vpn)
@@ -116,8 +123,13 @@ class SwapDevice:
                     resident[vpn] = True
             else:
                 cost += self._fault_in(vpn, dirty)
-            cost += line_ns if vpn == prev else random_ns
-            prev = vpn
+            cost += random_ns
+            if count > 1:
+                span = (count - 1) * line_ns
+                if cost + span < bound:
+                    cost += span
+                else:
+                    cost, bound = add_repeated(cost, count - 1, line_ns)
         return cost
 
     def touch_range(self, start_vpn, npages, dirty=False):

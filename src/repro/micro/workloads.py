@@ -22,8 +22,8 @@ import numpy as np
 
 from repro.ddc import make_platform
 from repro.errors import ReproError
-from repro.micro.scheduler import interleave
 from repro.micro.spec import MicroResult
+from repro.serve.scheduler import interleave
 from repro.sim.rng import make_rng
 from repro.teleport.flags import ConsistencyMode, PushdownOptions, SyncMethod
 

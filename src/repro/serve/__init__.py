@@ -5,7 +5,7 @@ disaggregated platform, schedules the memory pool's pushdown slots under
 pluggable queueing policies, and decides push-down-vs-compute-local per
 request from live runtime state. See DESIGN.md §8.
 
-Exports resolve lazily: ``repro.micro.scheduler`` re-exports from
+Exports resolve lazily: the microbenchmark imports ``interleave`` from
 :mod:`repro.serve.scheduler`, and an eager import of the tenant manager
 here would drag the whole db/graph/mapreduce stack into every
 microbenchmark import.

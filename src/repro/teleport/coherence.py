@@ -22,8 +22,11 @@ The protocol preserves the Single-Writer-Multiple-Reader invariant, which
 :meth:`check_swmr` asserts (used heavily by the property-based tests).
 """
 
+from itertools import repeat
+
 from repro.errors import CoherenceViolation
 from repro.mem.page import DIRTY, PRESENT, WRITABLE, permission
+from repro.sim.clock import add_repeated
 from repro.teleport.flags import ConsistencyMode
 
 
@@ -138,19 +141,24 @@ class CoherenceProtocol:
             self.sanitizer.swmr_transition(self, "memory_touch", vpn)
         return cost
 
-    def memory_touch_batch(self, vpns, write, now, sequential=False):
+    def memory_touch_batch(self, vpns, write, now, sequential=False, counts=None):
         """A batch of page accesses from the temporary context; returns
         its cost.
 
-        Exactly a plain loop over :meth:`memory_touch`. For random order
-        (the default) each access is stamped at ``now`` plus the cost so
-        far and then pays its DRAM cost by locality (``dram_line_ns`` when
-        the page repeats the previous access, ``dram_random_ns``
-        otherwise). A ``sequential`` pass stamps every access at ``now``
+        ``vpns`` are runs: each differs from the one before and is accessed
+        ``counts[i]`` times back to back (once when ``counts`` is None).
+        Exactly a plain loop over :meth:`memory_touch` for every access.
+        For random order (the default) each access is stamped at ``now``
+        plus the cost so far and then pays its DRAM cost by locality:
+        ``dram_random_ns`` for a run's first access, ``dram_line_ns`` for
+        its repeats. A ``sequential`` pass stamps every access at ``now``
         and leaves the DRAM streaming cost to the caller. A memory-pool
         resident page that ``t_mm`` already permits, or any resident page
         under WEAK/OFF, is handled inline; true faults and pushdown faults
-        call the per-page methods.
+        call the per-page methods. A repeat finds its page resident and
+        permitted by ``t_mm``, owned and dirty after a write, so it only
+        re-runs the armed sanitizer's check and adds ``dram_line_ns``
+        (summed by :func:`~repro.sim.clock.add_repeated`).
         """
         if sequential:
             line_ns = random_ns = 0.0
@@ -165,8 +173,8 @@ class CoherenceProtocol:
         relaxed = self.mode in (ConsistencyMode.WEAK, ConsistencyMode.OFF)
         sanitizer = self.sanitizer
         cost = 0.0
-        prev = None
-        for vpn in vpns:
+        bound = 0.0
+        for vpn, count in zip(vpns, repeat(1) if counts is None else counts):
             bits = get(vpn)
             if bits is None or vpn not in in_pool:
                 cost += self._memory_touch(vpn, write, now if sequential else now + cost)
@@ -181,9 +189,15 @@ class CoherenceProtocol:
                     vpn, write, now if sequential else now + cost
                 )
             if sanitizer is not None:
-                sanitizer.swmr_transition(self, "memory_touch", vpn)
-            cost += line_ns if vpn == prev else random_ns
-            prev = vpn
+                for _ in range(count):
+                    sanitizer.swmr_transition(self, "memory_touch", vpn)
+            cost += random_ns
+            if count > 1:
+                span = (count - 1) * line_ns
+                if cost + span < bound:
+                    cost += span
+                else:
+                    cost, bound = add_repeated(cost, count - 1, line_ns)
         return cost
 
     def _memory_touch(self, vpn, write, now):

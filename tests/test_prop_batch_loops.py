@@ -35,13 +35,17 @@ MAIN_PAGES = 16
 LATE_PAGES = 4
 
 #: A batch of (region, page numbers) with runs (a page repeated back to
-#: back: DRAM row-buffer hits) and repeats.
+#: back: DRAM row-buffer hits) of up to several hundred accesses, and
+#: repeats. The loops charge a run's repeats in one step.
 PAGES = st.tuples(
     st.sampled_from(["main", "late"]),
     st.lists(
         st.tuples(
             st.integers(min_value=0, max_value=MAIN_PAGES - 1),
-            st.integers(min_value=1, max_value=3),
+            st.one_of(
+                st.integers(min_value=1, max_value=3),
+                st.integers(min_value=4, max_value=400),
+            ),
         ),
         min_size=1,
         max_size=12,
@@ -257,7 +261,7 @@ def replay(kind, config, ops, mode=None, trace=False):
         assert engine.state() == reference.state()
 
 
-def config(spill=False, sanitize=False):
+def config(spill=False, sanitize=False, line_ns=4.0, random_ns=100.0):
     """4-page compute cache and 6-page local DRAM for 20 pages of data; a
     10-page memory pool when ``spill`` is set."""
     return DdcConfig(
@@ -265,35 +269,77 @@ def config(spill=False, sanitize=False):
         compute_cache_bytes=4 * PAGE,
         local_ram_bytes=6 * PAGE,
         memory_pool_bytes=(10 if spill else 64) * PAGE,
+        dram_line_ns=line_ns,
+        dram_random_ns=random_ns,
         sanitizers=sanitize,
     )
 
 
 MODES = st.sampled_from(list(ConsistencyMode))
 
+#: A row-buffer hit that is not a whole number of ns makes the loops add a
+#: run's repeats one at a time.
+LINE_NS = st.sampled_from([4.0, 3.7])
 
-@given(ops=op_strategy(["cpu"]), trace=st.booleans(), sanitize=st.booleans())
+
+@given(
+    ops=op_strategy(["cpu"]), trace=st.booleans(), sanitize=st.booleans(),
+    line_ns=LINE_NS,
+)
 @settings(max_examples=100, deadline=None)
-def test_local_loop_matches_swap_touch(ops, trace, sanitize):
-    replay("local", config(sanitize=sanitize), ops, trace=trace)
+def test_local_loop_matches_swap_touch(ops, trace, sanitize, line_ns):
+    replay("local", config(sanitize=sanitize, line_ns=line_ns), ops, trace=trace)
 
 
 @given(
     ops=op_strategy(["cpu"]), spill=st.booleans(),
-    trace=st.booleans(), sanitize=st.booleans(),
+    trace=st.booleans(), sanitize=st.booleans(), line_ns=LINE_NS,
 )
 @settings(max_examples=150, deadline=None)
-def test_compute_loops_match_touch_random(ops, spill, trace, sanitize):
-    replay("ddc", config(spill, sanitize), ops, trace=trace)
+def test_compute_loops_match_touch_random(ops, spill, trace, sanitize, line_ns):
+    replay("ddc", config(spill, sanitize, line_ns), ops, trace=trace)
 
 
 @given(
     ops=op_strategy(["cpu", "memory"]), mode=MODES, spill=st.booleans(),
-    trace=st.booleans(), sanitize=st.booleans(),
+    trace=st.booleans(), sanitize=st.booleans(), line_ns=LINE_NS,
 )
 @settings(max_examples=300, deadline=None)
-def test_pushdown_loops_match_per_page_methods(ops, mode, spill, trace, sanitize):
-    replay("teleport", config(spill, sanitize), ops, mode=mode, trace=trace)
+def test_pushdown_loops_match_per_page_methods(ops, mode, spill, trace, sanitize, line_ns):
+    replay("teleport", config(spill, sanitize, line_ns), ops, mode=mode, trace=trace)
+
+
+#: A DRAM latency of 100/3 ns starts a run at a fractional cost, which its
+#: repeats carry across 64, 128 and 256. There one addition of the whole
+#: span rounds differently from one addition per access.
+FRACTIONAL_RANDOM_NS = 100 / 3
+CROSSING_RUN = 64
+
+
+@pytest.mark.parametrize(
+    "kind, side", [("local", "cpu"), ("ddc", "cpu"), ("teleport", "memory")]
+)
+def test_run_carries_fractional_cost_across_power_of_two(kind, side):
+    cfg = config(random_ns=FRACTIONAL_RANDOM_NS)
+    stepwise = FRACTIONAL_RANDOM_NS
+    for _ in range(CROSSING_RUN - 1):
+        stepwise += cfg.dram_line_ns
+    assert stepwise != FRACTIONAL_RANDOM_NS + (CROSSING_RUN - 1) * cfg.dram_line_ns
+    mode = ConsistencyMode.MESI if kind == "teleport" else None
+    engine = Env(kind, cfg, mode, trace=False)
+    reference = Env(kind, cfg, mode, trace=False)
+    # The first batch makes page 10 resident or cached, so the run's head
+    # is a plain hit worth the fractional DRAM latency. The costs are
+    # compared directly: added to a clock far from 0, a one-ulp difference
+    # would be rounded away.
+    warm_up = ("random", side, False, ("main", [(10, 1)]))
+    run_engine(engine, *warm_up)
+    run_reference(reference, *warm_up)
+    region, indices = engine.indices(("main", [(10, CROSSING_RUN)]))
+    vpns = region.vpns_of_indices(indices)
+    cost = engine.contexts[side]._random_cost(vpns, False)
+    assert cost == reference_random_cost(reference.contexts[side], vpns, False)
+    assert engine.state() == reference.state()
 
 
 #: Fixed streams that reach every rare transition under MESI. With the
