@@ -3,7 +3,33 @@
 import numpy as np
 
 
-class WordCountJob:
+class CountingJob:
+    """Reduce and merge shared by jobs whose records are (key, count)."""
+
+    def reduce(self, keys, values):
+        """``{key: summed values}`` in ascending key order, sums as ints.
+
+        Keeps one bin per key from ``keys.min()`` to ``keys.max()``, so keys
+        should be dictionary ids (token ids span the vocabulary). Each bin
+        sums its values in input order; a key whose values sum to 0 stays.
+        """
+        if len(keys) == 0:
+            return {}
+        k0 = keys.min()
+        offsets = keys - k0
+        present = np.flatnonzero(np.bincount(offsets))
+        sums = np.bincount(offsets, weights=values)[present].astype(np.int64)
+        return dict(zip((present + k0).tolist(), sums.tolist()))
+
+    def merge(self, partials):
+        merged = {}
+        for partial in partials:
+            for key, count in partial.items():
+                merged[key] = merged.get(key, 0) + count
+        return merged
+
+
+class WordCountJob(CountingJob):
     """Count occurrences of every word token.
 
     Every input token emits one (token, 1) record — the maximal shuffle
@@ -20,22 +46,8 @@ class WordCountJob:
     def map_compute(self, tokens):
         return tokens.astype(np.int64), np.ones(len(tokens), dtype=np.int64)
 
-    def reduce(self, keys, values):
-        if len(keys) == 0:
-            return {}
-        unique, inverse = np.unique(keys, return_inverse=True)
-        counts = np.bincount(inverse, weights=values).astype(np.int64)
-        return dict(zip(unique.tolist(), counts.tolist()))
 
-    def merge(self, partials):
-        merged = {}
-        for partial in partials:
-            for key, count in partial.items():
-                merged[key] = merged.get(key, 0) + count
-        return merged
-
-
-class GrepJob:
+class GrepJob(CountingJob):
     """Find occurrences of a token pattern.
 
     Only matching tokens emit records, so the shuffle is small and the map
@@ -56,17 +68,3 @@ class GrepJob:
         mask = np.isin(tokens, self.pattern_tokens)
         matches = tokens[mask].astype(np.int64)
         return matches, np.ones(len(matches), dtype=np.int64)
-
-    def reduce(self, keys, values):
-        if len(keys) == 0:
-            return {}
-        unique, inverse = np.unique(keys, return_inverse=True)
-        counts = np.bincount(inverse, weights=values).astype(np.int64)
-        return dict(zip(unique.tolist(), counts.tolist()))
-
-    def merge(self, partials):
-        merged = {}
-        for partial in partials:
-            for key, count in partial.items():
-                merged[key] = merged.get(key, 0) + count
-        return merged

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ddc import make_platform
 from repro.ddc.phases import PhaseRunner
 from repro.errors import ConfigError, ReproError
 from repro.mapreduce import GrepJob, MapReduceEngine, WordCountJob, make_corpus
+from repro.mapreduce.textgen import CHUNK, GUIDE_BINS, inverse_cdf_sampler
 from repro.sim.config import DdcConfig
 from repro.sim.units import KIB, MIB
 
@@ -19,6 +22,45 @@ def corpus():
 @pytest.fixture(scope="module")
 def reference_counts(corpus):
     return np.bincount(corpus, minlength=5_000)
+
+
+def zipf_cdf(vocabulary, skew):
+    """The corpus generator's cumulative Zipf weights, unpinned."""
+    ranks = np.arange(1, vocabulary + 1, dtype=np.float64)
+    weights = ranks ** (-skew)
+    weights /= weights.sum()
+    return np.cumsum(weights)
+
+
+def reference_corpus(n_tokens, vocabulary, skew, seed):
+    """The binary-search sampler, on the CDF with its end pinned to 1.0."""
+    cdf = zipf_cdf(vocabulary, skew)
+    cdf[-1] = 1.0
+    draws = np.random.default_rng(seed).random(n_tokens)
+    return np.searchsorted(cdf, draws).astype(np.int32)
+
+
+def reference_reduce(keys, values):
+    """The sort-based reduce: ``np.unique`` then a weighted bincount."""
+    if len(keys) == 0:
+        return {}
+    unique, inverse = np.unique(keys, return_inverse=True)
+    counts = np.bincount(inverse, weights=values).astype(np.int64)
+    return dict(zip(unique.tolist(), counts.tolist()))
+
+
+def assert_sampler_matches_searchsorted(cdf, draws):
+    """In range everywhere; ``searchsorted`` wherever that is in range."""
+    cdf = np.asarray(cdf, dtype=np.float64)
+    draws = np.asarray(draws, dtype=np.float64)
+    got = inverse_cdf_sampler(cdf)(draws)
+    want = np.searchsorted(cdf, draws)
+    assert got.min(initial=0) >= 0
+    assert got.max(initial=0) < len(cdf)
+    in_range = want < len(cdf)
+    np.testing.assert_array_equal(got[in_range], want[in_range])
+    # Draws at or past a short end fall in the last rank.
+    assert (got[~in_range] == len(cdf) - 1).all()
 
 
 def make_engine(corpus, kind="local", pushdown=(), config=None, **kwargs):
@@ -45,6 +87,89 @@ class TestTextgen:
             make_corpus(0)
         with pytest.raises(ConfigError):
             make_corpus(10, vocabulary=1)
+
+    @pytest.mark.parametrize("vocabulary,skew", [
+        (2, 1.1), (3, 0.5), (1_000, 1.1), (1_000, 2.0),
+        (20_000, 1.1), (20_000, 0.5), (50_000, 1.1), (50_000, 2.0),
+    ])
+    def test_equals_binary_search(self, vocabulary, skew):
+        sizes = (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17)
+        for n_tokens in sizes:
+            for seed in (1, 7, 2022):
+                tokens = make_corpus(n_tokens, vocabulary=vocabulary, skew=skew, seed=seed)
+                assert tokens.dtype == np.int32
+                np.testing.assert_array_equal(
+                    tokens, reference_corpus(n_tokens, vocabulary, skew, seed))
+
+    def test_guide_bins_scale_exactly(self):
+        """The exactness argument needs ``u * GUIDE_BINS`` to round nothing."""
+        assert GUIDE_BINS & (GUIDE_BINS - 1) == 0
+
+    def test_short_cdf_end_stays_in_vocabulary(self):
+        """The float cumulative sum can end below 1.0 (here by ~5.6e-16)."""
+        cdf = zipf_cdf(1_000, 1.1)
+        assert cdf[-1] < 1.0
+        draws = np.concatenate([
+            [cdf[-1], np.nextafter(1.0, 0.0), 0.0], cdf,
+            np.arange(GUIDE_BINS) / GUIDE_BINS,
+        ])
+        assert_sampler_matches_searchsorted(cdf, draws)
+
+    def test_exact_at_guide_bin_edges(self):
+        """CDF entries and draws on, just below and just above bin edges."""
+        edges = np.arange(GUIDE_BINS) / GUIDE_BINS
+        cdf = np.unique(np.concatenate([
+            edges[1::7], np.nextafter(edges[1::5], 0.0), np.nextafter(edges[1::3], 1.0),
+        ]))
+        draws = np.concatenate([
+            cdf, edges, np.nextafter(edges[1:], 0.0), np.nextafter(edges, 1.0),
+            [np.nextafter(1.0, 0.0)],
+        ])
+        assert_sampler_matches_searchsorted(cdf, draws)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50),
+        st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50),
+    )
+    def test_sampler_equals_searchsorted(self, entries, draws):
+        assert_sampler_matches_searchsorted(sorted(entries), draws)
+
+
+JOBS = [WordCountJob(), GrepJob([1, 2])]
+
+
+class TestCountingReduce:
+    @pytest.mark.parametrize("job", JOBS, ids=lambda job: job.name)
+    @pytest.mark.parametrize("keys,values", [
+        ([], []),
+        ([5], [1]),
+        ([7, 7, 7], [1, 1, 1]),
+        ([-3, 4, -3, -9, 4], [1, 2, 3, 4, 5]),
+        ([2, 0, 2, 1, 1], [1, -1, -1, 0, 0]),  # keys 1 and 2 sum to 0
+    ])
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_equals_sort_reduce(self, job, keys, values, dtype):
+        keys = np.asarray(keys, dtype=dtype)
+        values = np.asarray(values, dtype=np.int64)
+        got = job.reduce(keys, values)
+        assert list(got.items()) == list(reference_reduce(keys, values).items())
+        assert all(type(key) is int and type(count) is int for key, count in got.items())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-500, 500), st.integers(-3, 3)), max_size=80),
+        st.sampled_from([np.int32, np.int64]),
+    )
+    def test_equals_sort_reduce_property(self, records, dtype):
+        keys = np.asarray([key for key, _ in records], dtype=dtype)
+        values = np.asarray([value for _, value in records], dtype=np.int64)
+        got = WordCountJob().reduce(keys, values)
+        assert list(got.items()) == list(reference_reduce(keys, values).items())
+
+    def test_merge_sums_partials(self):
+        merged = GrepJob([1]).merge([{1: 2, 3: 4}, {3: 1, 0: 5}])
+        assert merged == {1: 2, 3: 5, 0: 5}
 
 
 class TestWordCount:
