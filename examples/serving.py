@@ -2,9 +2,9 @@
 
 Admits a mixed-residency tenant mix — a cache-hot SQL client, a cold
 MapReduce client streaming a corpus, a graph client answering k-hop
-queries — and serves them under each offload policy. The memory pool's
-execution slots are bounded, so pushdowns queue under the configured
-admission policy; the adaptive controller decides per request whether
+queries — and serves them under each offload policy. The memory pool runs
+one pushdown per TELEPORT instance (one by default), so pushdowns queue
+under the configured admission policy; the adaptive controller decides per request whether
 pushing down beats faulting the data into the compute pool.
 
 Run:  python examples/serving.py
@@ -16,7 +16,7 @@ from repro.serve import OffloadPolicy, QueuePolicy
 
 def main():
     print("Mixed-residency tenant mix (sql-hot / mr-cold / mr-burst / graph)")
-    print("under bounded memory-pool slots, weighted-fair admission.\n")
+    print("on one TELEPORT instance, weighted-fair admission.\n")
     totals = {}
     for offload in (OffloadPolicy.NEVER, OffloadPolicy.ALWAYS,
                     OffloadPolicy.ADAPTIVE):

@@ -1,9 +1,9 @@
 """repro.serve — the multi-tenant serving layer.
 
 Admits concurrent SQL/graph/MapReduce clients onto one shared
-disaggregated platform, schedules the memory pool's pushdown slots under
-pluggable queueing policies, and decides push-down-vs-compute-local per
-request from live runtime state. See DESIGN.md §8.
+disaggregated platform, queues pushdowns for the memory pool's TELEPORT
+instances under pluggable policies, and decides push-down-vs-compute-local
+per request from live runtime state. See DESIGN.md §8.
 
 Exports resolve lazily: the microbenchmark imports ``interleave`` from
 :mod:`repro.serve.scheduler`, and an eager import of the tenant manager

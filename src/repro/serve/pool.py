@@ -1,19 +1,22 @@
-"""The memory-pool pushdown scheduler: slots, admission queue, policies.
+"""The memory-pool admission queue: policies and per-tenant accounting.
 
-The paper's runtime serialises concurrent pushdowns on the memory pool's
-few controller cores (Figure 17); under serving load that contention is
-the first-order effect (Figures 21-22 and DRackSim both turn on it). This
-module makes it explicit:
+The paper's runtime serialises concurrent pushdowns in the memory pool's
+RPC workqueue (Section 3.2, Figure 17); under serving load that contention
+is the first-order effect (Figures 21-22 and DRackSim both turn on it).
+This module puts an admission queue in front of that workqueue:
 
-* **bounded execution slots** — one per memory-pool CPU by default
-  (``slots_per_cpu`` scales it); a pushdown holds a slot from dispatch
-  until its memory-side execution ends;
-* **an admission queue** — a ``pushdown()`` that finds no free slot
+* **execution slots are TELEPORT instances** — the scheduler owns no
+  instance state. It dispatches when the runtime's
+  :class:`~repro.teleport.rpc.RpcServer` has a free instance, so serving
+  concurrency is ``config.teleport_instances`` (1 by default, the
+  paper's); a pushdown holds its instance from dispatch until its
+  memory-side execution ends;
+* **an admission queue** — a ``pushdown()`` that finds no free instance
   queues in virtual time instead of executing instantly; queueing delay
   is charged to the caller's virtual clock and accounted per tenant;
 * **pluggable policies** — FIFO, weighted fair share (least attained
   normalised service first), and strict priority decide which queued
-  request a freed slot serves next;
+  request a freed instance serves next;
 * **trace visibility** — enqueue/dispatch/cancel/complete events of kind
   ``"sched"`` when tracing is enabled.
 
@@ -22,14 +25,16 @@ Two paths feed the queue. Tenant workloads driven by the serving
 a dispatch event resumes them — there the policies genuinely reorder,
 because every request arriving before a dispatch instant is already
 queued when the dispatch fires. Direct ``ctx.pushdown`` calls from engine
-internals take the synchronous path: they wait for the earliest free slot
-(FIFO in virtual time) with the same accounting, since a synchronous
-caller cannot be overtaken retroactively.
+internals take the synchronous path: they wait for the earliest free
+instance (FIFO in virtual time), since a synchronous caller cannot be
+overtaken retroactively. Both paths share the dispatch and cancellation
+code; only the delivery of the outcome differs (resume/throw a parked
+task versus return/raise).
 
-Requests that fail *while queued* keep PR-1 semantics: an expired
-``timeout_ns`` follows the caller's :class:`TimeoutAction` (raise with
-``cancelled=True``, or automatic local fallback) and counts toward the
-per-process circuit breaker; a memory-pool panic surfaces as
+Requests that fail *while queued* take the runtime's recovery paths: an
+expired ``timeout_ns`` follows the caller's :class:`TimeoutAction` (raise
+with ``cancelled=True``, or automatic local fallback) and counts toward
+the per-process circuit breaker; a memory-pool panic surfaces as
 :class:`~repro.errors.KernelPanic` at the would-be dispatch, after the
 runtime has released every coherence protocol.
 """
@@ -88,7 +93,7 @@ class TenantShare:
         self.cancelled = 0
         #: Total virtual time this tenant's requests spent queued.
         self.queue_delay_ns = 0.0
-        #: Total memory-pool slot time this tenant consumed.
+        #: Total TELEPORT instance time this tenant consumed.
         self.service_ns = 0.0
 
     def __repr__(self):
@@ -99,7 +104,11 @@ class TenantShare:
 
 
 class QueuedRequest:
-    """One pushdown waiting in (or flowing through) the admission queue."""
+    """One pushdown waiting in (or flowing through) the admission queue.
+
+    ``task`` is None for a synchronous ``pushdown()`` call, which returns
+    or raises its outcome instead of parking a task.
+    """
 
     __slots__ = (
         "task", "ctx", "fn", "args", "options", "share", "name",
@@ -138,36 +147,26 @@ class QueuedRequest:
 
 
 class PoolScheduler:
-    """Admission queue + bounded execution slots of one memory pool.
+    """Admission queue in front of one memory pool's TELEPORT instances.
 
     Installs itself on the platform's TELEPORT runtime; from then on every
-    ``pushdown()`` is slot-bounded. Acts as the serving scheduler's event
-    source: ``next_event_ns``/``fire`` interleave queue dispatches with
-    tenant task steps in virtual-time order.
+    ``pushdown()`` waits for a free instance. Acts as the serving
+    scheduler's event source: ``next_event_ns``/``fire`` interleave queue
+    dispatches with tenant task steps in virtual-time order.
     """
 
-    def __init__(self, platform, slots=None, policy=QueuePolicy.FIFO):
+    def __init__(self, platform, policy=QueuePolicy.FIFO):
         runtime = getattr(platform, "teleport", None)
         if runtime is None:
             raise ConfigError(
                 f"platform kind {platform.kind!r} has no TELEPORT runtime to schedule"
             )
-        config = platform.config
-        if slots is None:
-            slots = config.memory_pool_cores
-        if slots < 1:
-            raise ConfigError(f"need at least one execution slot, got {slots}")
-        if config.teleport_instances < slots:
-            raise ConfigError(
-                f"{slots} slots need >= {slots} TELEPORT instances; config has "
-                f"{config.teleport_instances} (raise teleport_instances)"
-            )
         self.platform = platform
-        self.config = config
+        self.config = platform.config
         self.stats = platform.stats
         self.runtime = runtime
+        self.rpc = runtime.rpc
         self.policy = policy
-        self.slot_free_at = [0.0] * slots
         self.queue = []
         self.shares = {}
         self.dispatching = False
@@ -198,16 +197,13 @@ class PoolScheduler:
     # ------------------------------------------------------------------
     # Live state the offload controller reads
     # ------------------------------------------------------------------
-    def queue_depth(self, now=None):
-        """Requests waiting plus slots busy at ``now`` (now=None: waiting only)."""
-        depth = len(self.queue)
-        if now is not None:
-            depth += sum(1 for free in self.slot_free_at if free > now)
-        return depth
+    def queue_depth(self, now):
+        """Requests waiting plus instances busy at ``now``."""
+        return len(self.queue) + self.rpc.busy_at(now)
 
     def estimated_wait_ns(self, now):
         """Deterministic estimate of the queueing delay a new arrival pays."""
-        backlog = max(0.0, min(self.slot_free_at) - now)
+        backlog = max(0.0, self.rpc.earliest_free_ns() - now)
         if self.queue:
             backlog += len(self.queue) * self._mean_service_ns()
         return backlog
@@ -239,7 +235,7 @@ class PoolScheduler:
         if not self.queue:
             return None
         earliest_arrival = min(r.arrival_ns for r in self.queue)
-        event = max(min(self.slot_free_at), earliest_arrival)
+        event = max(self.rpc.earliest_free_ns(), earliest_arrival)
         for request in self.queue:
             expiry = request.expiry_ns()
             if expiry is not None and expiry < event:
@@ -255,58 +251,13 @@ class PoolScheduler:
         )
         for request in expired:
             self.queue.remove(request)
-            self._cancel_queued(request, scheduler)
-        if not self.queue:
-            return
+            self._finish(scheduler, request, *self._cancel_queued(request))
         eligible = [r for r in self.queue if r.arrival_ns <= now]
-        if not eligible or min(self.slot_free_at) > now:
+        if not eligible or self.rpc.earliest_free_ns() > now:
             return
-        self._dispatch(now, eligible, scheduler)
-
-    def _dispatch(self, now, eligible, scheduler):
         request = self._pick(eligible)
         self.queue.remove(request)
-        share = request.share
-        share.dispatched += 1
-        share.queue_delay_ns += now - request.arrival_ns
-        request.dispatched_ns = now
-        ctx = request.ctx
-        ctx.thread.clock.advance_to(now)
-        self._emit(
-            now, "dispatch", tenant=share.name, request=request.name,
-            wait_ms=round((now - request.arrival_ns) / 1e6, 6),
-            depth=len(self.queue),
-        )
-        slot = min(range(len(self.slot_free_at)), key=self.slot_free_at.__getitem__)
-        breakdowns_before = len(self.runtime.breakdowns)
-        options = _remaining_timeout(request.options, now - request.arrival_ns)
-        error = None
-        result = None
-        try:
-            self.dispatching = True
-            result = self.runtime.pushdown(
-                ctx, request.fn, *request.args, options=options
-            )
-        except ReproError as exc:
-            error = exc
-        finally:
-            self.dispatching = False
-        end_ns = self._release_slot(slot, breakdowns_before, ctx, now, share)
-        if error is not None:
-            self._emit(
-                ctx.now, "complete", tenant=share.name, request=request.name,
-                outcome=type(error).__name__,
-            )
-            self._finish(scheduler, request, None, error)
-            return
-        request.completed_ns = ctx.now
-        share.completed += 1
-        self._emit(
-            ctx.now, "complete", tenant=share.name, request=request.name,
-            outcome="ok",
-            service_ms=round(((end_ns if end_ns is not None else ctx.now) - now) / 1e6, 6),
-        )
-        self._finish(scheduler, request, result, None)
+        self._finish(scheduler, request, *self._dispatch(request, now))
 
     def _finish(self, scheduler, request, result, error):
         """Deliver a request's outcome: hook first, then task resumption."""
@@ -319,9 +270,93 @@ class PoolScheduler:
         else:
             scheduler.resume(request.task, result)
 
-    def _cancel_queued(self, request, scheduler):
-        """A queued request timed out before reaching a slot (Section 3.2:
-        try_cancel trivially succeeds — the function never started)."""
+    # ------------------------------------------------------------------
+    # The synchronous path (direct ctx.pushdown under a serving platform)
+    # ------------------------------------------------------------------
+    def run_inline(self, ctx, fn, args, options, verify=False):
+        """Admit a synchronous ``pushdown()`` call.
+
+        No free instance means the call queues in virtual time: the wait
+        is charged to the caller's clock and accounted to its tenant. A
+        synchronous caller cannot be reordered retroactively, so this path
+        is FIFO regardless of the configured policy.
+        """
+        request = QueuedRequest(None, ctx, fn, args, options,
+                                self.share_for(ctx), "inline")
+        request.share.submitted += 1
+        arrival = request.arrival_ns
+        self._emit(
+            arrival, "enqueue", tenant=request.share.name, request="inline",
+            depth=self.queue_depth(arrival),
+        )
+        start = max(arrival, self.rpc.earliest_free_ns())
+        if request.expiry_ns() is not None and start - arrival > options.timeout_ns:
+            result, error = self._cancel_queued(request)
+        else:
+            result, error = self._dispatch(request, start, verify)
+        if error is not None:
+            raise error
+        return result
+
+    # ------------------------------------------------------------------
+    # Shared internals: both paths dispatch and cancel through these
+    # ------------------------------------------------------------------
+    def _dispatch(self, request, now, verify=False):
+        """Run ``request`` on the instance free at ``now``.
+
+        Returns ``(result, error)``. The tenant is billed from ``now``
+        until the instance itself frees — not until the caller's clock
+        stops, which also covers the reply, post-sync and any local
+        fallback re-run after a mid-execution cancel.
+        """
+        share = request.share
+        share.dispatched += 1
+        share.queue_delay_ns += now - request.arrival_ns
+        request.dispatched_ns = now
+        ctx = request.ctx
+        ctx.thread.clock.advance_to(now)
+        self._emit(
+            now, "dispatch", tenant=share.name, request=request.name,
+            wait_ms=round((now - request.arrival_ns) / 1e6, 6),
+            depth=len(self.queue),
+        )
+        rpc = self.rpc
+        dispatched = rpc.dispatched
+        options = _remaining_timeout(request.options, now - request.arrival_ns)
+        result = error = None
+        try:
+            self.dispatching = True
+            result = self.runtime.pushdown(
+                ctx, request.fn, *request.args, options=options, verify=verify
+            )
+        except ReproError as exc:
+            error = exc
+        finally:
+            self.dispatching = False
+        end_ns = ctx.now
+        # A call that never occupied an instance (breaker short-circuit,
+        # lost or cancelled before commit) consumed no service.
+        if rpc.dispatched > dispatched:
+            end_ns = rpc.last_free_ns()
+            share.service_ns += end_ns - now
+        if error is not None:
+            self._emit(
+                ctx.now, "complete", tenant=share.name, request=request.name,
+                outcome=type(error).__name__,
+            )
+            return None, error
+        request.completed_ns = ctx.now
+        share.completed += 1
+        self._emit(
+            ctx.now, "complete", tenant=share.name, request=request.name,
+            outcome="ok", service_ms=round((end_ns - now) / 1e6, 6),
+        )
+        return result, None
+
+    def _cancel_queued(self, request):
+        """A queued request timed out before reaching an instance (Section
+        3.2: try_cancel trivially succeeds — the function never started).
+        Returns ``(result, error)``."""
         share = request.share
         share.cancelled += 1
         expiry = request.expiry_ns()
@@ -339,113 +374,12 @@ class PoolScheduler:
             self.stats.pushdown_fallbacks += 1
             result = request.fn(ctx, *request.args)
             request.completed_ns = ctx.now
-            self._finish(scheduler, request, result, None)
-            return
-        self._finish(scheduler, request, None, PushdownTimeout(
+            return result, None
+        return None, PushdownTimeout(
             f"pushdown cancelled after {request.options.timeout_ns:.0f}ns in "
             "the memory-pool admission queue",
             cancelled=True,
-        ))
-
-    # ------------------------------------------------------------------
-    # The synchronous path (direct ctx.pushdown under a serving platform)
-    # ------------------------------------------------------------------
-    def run_inline(self, runtime, ctx, fn, args, options, verify=False):
-        """Slot-bound a synchronous ``pushdown()`` call.
-
-        No free slot means the call queues in virtual time: the wait is
-        charged to the caller's clock and accounted to its tenant. A
-        synchronous caller cannot be reordered retroactively, so this path
-        is FIFO regardless of the configured policy.
-        """
-        share = self.share_for(ctx)
-        share.submitted += 1
-        arrival = ctx.now
-        slot = min(range(len(self.slot_free_at)), key=self.slot_free_at.__getitem__)
-        start = max(arrival, self.slot_free_at[slot])
-        self._emit(
-            arrival, "enqueue", tenant=share.name, request="inline",
-            depth=self.queue_depth(arrival),
         )
-        timeout = options.timeout_ns
-        if (
-            timeout is not None
-            and options.on_timeout is not TimeoutAction.WAIT
-            and start - arrival > timeout
-        ):
-            share.cancelled += 1
-            share.queue_delay_ns += timeout
-            expiry = arrival + timeout
-            ctx.thread.clock.advance_to(expiry)
-            self.stats.pushdown_timeouts += 1
-            self.stats.pushdown_cancellations += 1
-            runtime.breaker_for(ctx.thread.process).record_failure(expiry)
-            self._emit(
-                expiry, "cancel", tenant=share.name, request="inline",
-                waited_ms=round(timeout / 1e6, 6),
-            )
-            if options.on_timeout is TimeoutAction.FALLBACK:
-                self.stats.pushdown_fallbacks += 1
-                return fn(ctx, *args)
-            raise PushdownTimeout(
-                f"pushdown cancelled after {timeout:.0f}ns in the memory-pool "
-                "admission queue",
-                cancelled=True,
-            )
-        share.dispatched += 1
-        share.queue_delay_ns += start - arrival
-        ctx.thread.clock.advance_to(start)
-        self._emit(
-            start, "dispatch", tenant=share.name, request="inline",
-            wait_ms=round((start - arrival) / 1e6, 6),
-            depth=len(self.queue),
-        )
-        breakdowns_before = len(runtime.breakdowns)
-        dispatch_options = _remaining_timeout(options, start - arrival)
-        try:
-            self.dispatching = True
-            result = runtime.pushdown(
-                ctx, fn, *args, options=dispatch_options, verify=verify
-            )
-        except ReproError as exc:
-            self._release_slot(slot, breakdowns_before, ctx, start, share)
-            self._emit(
-                ctx.now, "complete", tenant=share.name, request="inline",
-                outcome=type(exc).__name__,
-            )
-            raise
-        finally:
-            self.dispatching = False
-        end_ns = self._release_slot(slot, breakdowns_before, ctx, start, share)
-        share.completed += 1
-        self._emit(
-            ctx.now, "complete", tenant=share.name, request="inline",
-            outcome="ok",
-            service_ms=round(
-                ((end_ns if end_ns is not None else ctx.now) - start) / 1e6, 6
-            ),
-        )
-        return result
-
-    # ------------------------------------------------------------------
-    # Shared internals
-    # ------------------------------------------------------------------
-    def _release_slot(self, slot, breakdowns_before, ctx, start_ns, share):
-        """Mark the slot free at the memory-side execution end.
-
-        A call that never occupied an instance (breaker short-circuit,
-        cancelled before commit) appends no breakdown and leaves the slot
-        untouched. The caller's clock sits past the response and post-sync
-        transfers; subtracting them recovers when the slot itself freed.
-        """
-        runtime = self.runtime
-        if len(runtime.breakdowns) <= breakdowns_before:
-            return None
-        breakdown = runtime.breakdowns[-1]
-        end = max(start_ns, ctx.now - (breakdown.response_ns + breakdown.post_sync_ns))
-        self.slot_free_at[slot] = end
-        share.service_ns += end - start_ns
-        return end
 
     def _pick(self, eligible):
         """The policy's choice among requests whose arrival has passed."""
@@ -466,6 +400,6 @@ class PoolScheduler:
 
     def __repr__(self):
         return (
-            f"PoolScheduler(slots={len(self.slot_free_at)}, "
+            f"PoolScheduler(instances={self.rpc.instances}, "
             f"policy={self.policy.value}, queued={len(self.queue)})"
         )

@@ -9,6 +9,12 @@ When more instances run than the memory pool has physical cores, execution
 stretches due to time sharing plus a context-switching penalty — the source
 of Figure 17's diminishing returns.
 
+The instance array is the memory pool's only dispatch state. The serving
+admission queue (:class:`~repro.serve.pool.PoolScheduler`) keeps no slots
+of its own: it dispatches when :meth:`RpcServer.earliest_free_ns` has
+passed and bills a request until :meth:`RpcServer.last_free_ns`, so its
+execution slots *are* these instances.
+
 For the retry layer the server also keeps per-request-ID execution records:
 a retransmitted request whose ID was already executed is answered from the
 completion record instead of running the function again, which is what
@@ -28,13 +34,11 @@ class RpcServer:
             raise ConfigError("need at least one TELEPORT instance")
         self.config = config
         self._free_at = [0.0] * config.teleport_instances
+        self._last = 0
         self.dispatched = 0
-        self.cancelled = 0
         #: request_id -> number of times the function actually executed
         #: (the at-most-once invariant says every value stays <= 1).
         self._executions = {}
-        #: Retransmitted requests answered from the completion record.
-        self.dedup_replies = 0
 
     @property
     def instances(self):
@@ -49,8 +53,7 @@ class RpcServer:
         """
         index = min(range(len(self._free_at)), key=self._free_at.__getitem__)
         start_ns = max(arrival_ns, self._free_at[index])
-        busy = sum(1 for t in self._free_at if t > start_ns) + 1
-        return index, start_ns, self._cpu_scale(busy)
+        return index, start_ns, self._cpu_scale(self.busy_at(start_ns) + 1)
 
     def commit(self, index, request_id=None):
         """Occupy an instance (it stays busy until :meth:`complete`).
@@ -60,6 +63,7 @@ class RpcServer:
         :meth:`replay_response` instead of committing again.
         """
         self._free_at[index] = math.inf
+        self._last = index
         self.dispatched += 1
         if request_id is not None:
             self._executions[request_id] = self._executions.get(request_id, 0) + 1
@@ -78,10 +82,6 @@ class RpcServer:
             )
         self._free_at[index] = end_ns
 
-    def cancel_queued(self):
-        """Record a request removed from the workqueue before starting."""
-        self.cancelled += 1
-
     def replay_response(self, request_id):
         """Serve a retransmitted request from the completion record.
 
@@ -90,7 +90,6 @@ class RpcServer:
         """
         if self._executions.get(request_id, 0) < 1:
             raise ReproError(f"no completion record for request {request_id!r}")
-        self.dedup_replies += 1
 
     def execution_counts(self):
         """Copy of the full request-ID -> execution-count map."""
@@ -98,6 +97,14 @@ class RpcServer:
 
     def earliest_free_ns(self):
         return min(self._free_at)
+
+    def last_free_ns(self):
+        """When the most recently committed instance frees (inf while busy)."""
+        return self._free_at[self._last]
+
+    def busy_at(self, now):
+        """Instances still occupied at ``now``."""
+        return sum(1 for t in self._free_at if t > now)
 
     def _cpu_scale(self, busy):
         cores = self.config.memory_pool_cores

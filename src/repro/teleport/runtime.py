@@ -83,7 +83,7 @@ class TeleportRuntime:
         self._breakers = {}
         self._request_counter = 0
         #: Optional :class:`~repro.serve.pool.PoolScheduler`; when installed
-        #: every ``pushdown()`` is admission-controlled by its slot model.
+        #: every ``pushdown()`` first passes its admission queue.
         self.pool_scheduler = None
 
     # ------------------------------------------------------------------
@@ -167,15 +167,15 @@ class TeleportRuntime:
 
         When a serving :class:`~repro.serve.pool.PoolScheduler` is
         installed, the call first passes admission control: it waits (in
-        virtual time) for a free memory-pool execution slot instead of
-        executing instantly.
+        virtual time) for a free TELEPORT instance instead of executing
+        instantly.
         """
         scheduler = self.pool_scheduler
         if scheduler is not None and not scheduler.dispatching:
             options = _resolve_options(
                 options, consistency, sync, timeout_ns, sync_regions, on_timeout
             )
-            return scheduler.run_inline(self, ctx, fn, args, options, verify)
+            return scheduler.run_inline(ctx, fn, args, options, verify)
         if verify:
             # Imported lazily: the analysis layer sits above the runtime.
             from repro.analysis.verifier import assert_pushdownable
@@ -348,7 +348,6 @@ class PushdownSession:
         ):
             # try_cancel succeeds: the request had not started executing,
             # so it is simply removed from the workqueue (Section 3.2).
-            runtime.rpc.cancel_queued()
             runtime.stats.pushdown_timeouts += 1
             runtime.stats.pushdown_cancellations += 1
             ctx.thread.clock.advance_to(call_ns + timeout)

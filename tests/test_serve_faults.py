@@ -18,12 +18,12 @@ from repro.teleport.flags import PushdownOptions, TimeoutAction
 
 pytestmark = pytest.mark.faults
 
-OCCUPY_OPS = 50_000_000  # holds the single slot for tens of virtual ms
-VICTIM_TIMEOUT_NS = 1e5  # expires long before the slot frees
+OCCUPY_OPS = 50_000_000  # holds the single instance for tens of virtual ms
+VICTIM_TIMEOUT_NS = 1e5  # expires long before the instance frees
 
 
 def occupant(ops=OCCUPY_OPS):
-    """A tenant whose single pushed request monopolises the slot."""
+    """A tenant whose single pushed request monopolises the instance."""
 
     def build(ctx):
         def body(ectx):
@@ -39,8 +39,8 @@ def occupant(ops=OCCUPY_OPS):
 
 
 def _server():
-    return Server(DdcConfig(), offload=OffloadPolicy.ALWAYS,
-                  queue_policy=QueuePolicy.FIFO, slots=1)
+    return Server(DdcConfig(teleport_instances=1), offload=OffloadPolicy.ALWAYS,
+                  queue_policy=QueuePolicy.FIFO)
 
 
 def _quick_body(ectx):

@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ddc.platform import make_platform
-from repro.errors import ConfigError
+from repro.errors import ConfigError, PushdownTimeout
 from repro.serve.offload import OffloadPolicy, OffloadRequest
 from repro.serve.pool import PoolScheduler, QueuePolicy, TenantShare
 from repro.serve.tenant import Server
 from repro.sim.config import DdcConfig
+from repro.teleport.flags import PushdownOptions, TimeoutAction
 
 
 def compute_tenant(n_requests, ops):
@@ -49,10 +50,10 @@ def batch_tenant(n_requests, ops):
     return build
 
 
-def serve(tenants, queue_policy, slots=1, trace=False):
+def serve(tenants, queue_policy, instances=1, trace=False):
     """Run compute tenants under ALWAYS offload so every request queues."""
-    server = Server(DdcConfig(), offload=OffloadPolicy.ALWAYS,
-                    queue_policy=queue_policy, slots=slots)
+    server = Server(DdcConfig(teleport_instances=instances),
+                    offload=OffloadPolicy.ALWAYS, queue_policy=queue_policy)
     if trace:
         server.platform.tracer.enable(kinds={"sched"})
     for name, workload, kwargs in tenants:
@@ -66,12 +67,6 @@ def serve(tenants, queue_policy, slots=1, trace=False):
 def test_pool_requires_teleport_platform():
     with pytest.raises(ConfigError, match="no TELEPORT runtime"):
         PoolScheduler(make_platform("ddc"))
-
-
-def test_pool_requires_enough_instances():
-    platform = make_platform("teleport", DdcConfig(teleport_instances=1))
-    with pytest.raises(ConfigError, match="TELEPORT instances"):
-        PoolScheduler(platform, slots=4)
 
 
 def test_tenant_share_validates_weight():
@@ -101,11 +96,86 @@ def test_more_slots_reduce_queueing():
         (name, compute_tenant(3, 400_000), dict(arrival_ns=0.0))
         for name in ("a", "b", "c")
     ]
-    server1, _ = serve(tenants, QueuePolicy.FIFO, slots=1)
-    server3, _ = serve(tenants, QueuePolicy.FIFO, slots=3)
+    server1, _ = serve(tenants, QueuePolicy.FIFO, instances=1)
+    server3, _ = serve(tenants, QueuePolicy.FIFO, instances=3)
     delay1 = sum(s.queue_delay_ns for s in server1.pool.shares.values())
     delay3 = sum(s.queue_delay_ns for s in server3.pool.shares.values())
     assert delay3 < delay1
+
+
+def test_teleport_instances_are_the_serving_slots():
+    """Three instances serve three simultaneous tenants concurrently.
+
+    The admission queue is the only queue under serving: no request waits
+    in it, and none waits in the RPC server's workqueue behind it either.
+    """
+    tenants = [
+        (name, compute_tenant(3, 400_000), dict(arrival_ns=0.0))
+        for name in ("a", "b", "c")
+    ]
+    server, _ = serve(tenants, QueuePolicy.FIFO, instances=3, trace=True)
+    assert server.platform.teleport.rpc.instances == 3
+    dispatches = [
+        event for event in server.platform.tracer.of_kind("sched")
+        if event.detail["phase"] == "dispatch"
+    ]
+    assert [event.at_ns for event in dispatches[:3]] == [0.0, 0.0, 0.0]
+    assert all(s.queue_delay_ns == 0.0 for s in server.pool.shares.values())
+    breakdowns = server.platform.teleport.breakdowns
+    assert len(breakdowns) == 9
+    assert all(b.queue_wait_ns == 0.0 for b in breakdowns)
+
+
+SLOW_OPS = 21_000_000  # ~10 ms on the memory pool's 2.1 GHz clock
+CANCEL_TIMEOUT_NS = 2e6
+
+
+def _slow_then_quick(on_timeout, quick_arrival_ns=None):
+    """A ~10 ms request cancelled mid-execution at 2 ms, optionally
+    followed by a quick request that queues behind it."""
+
+    def slow(ctx):
+        def body(ectx):
+            ectx.compute(SLOW_OPS)
+            return "slow"
+
+        def gen():
+            try:
+                yield OffloadRequest("slow", body, options=PushdownOptions(
+                    timeout_ns=CANCEL_TIMEOUT_NS, on_timeout=on_timeout,
+                ))
+            except PushdownTimeout:
+                pass
+        return gen()
+
+    tenants = [("slow", slow, dict(arrival_ns=0.0))]
+    if quick_arrival_ns is not None:
+        tenants.append(
+            ("quick", compute_tenant(1, 1000), dict(arrival_ns=quick_arrival_ns))
+        )
+    server, _ = serve(tenants, QueuePolicy.FIFO)
+    return server
+
+
+@pytest.mark.parametrize("on_timeout", [TimeoutAction.FALLBACK, TimeoutAction.RAISE])
+def test_mid_execution_cancel_frees_instance_at_cancel_arrival(on_timeout):
+    """try_cancel kills the temporary context when the cancel arrives; the
+    instance, the admission queue and the tenant's bill all stop there,
+    not when the caller's clock does (after the ack, or the local re-run)."""
+    alone = _slow_then_quick(on_timeout)
+    assert alone.platform.stats.pushdown_cancellations == 1
+    instance_free_ns = alone.platform.teleport.rpc.earliest_free_ns()
+    assert CANCEL_TIMEOUT_NS < instance_free_ns < CANCEL_TIMEOUT_NS + 10_000
+    slow_ctx = alone.tenants[0].ctx
+    if on_timeout is TimeoutAction.FALLBACK:
+        assert slow_ctx.now > 5 * CANCEL_TIMEOUT_NS  # the local re-run ran
+    assert alone.pool.shares["slow"].service_ns == instance_free_ns
+
+    quick_arrival_ns = 1e6
+    both = _slow_then_quick(on_timeout, quick_arrival_ns)
+    shares = both.pool.shares
+    assert shares["slow"].service_ns == instance_free_ns
+    assert quick_arrival_ns + shares["quick"].queue_delay_ns == instance_free_ns
 
 
 def test_sched_trace_events_emitted():
@@ -248,10 +318,13 @@ def test_fair_share_long_run_shares_converge(heavy):
 # ----------------------------------------------------------------------
 def test_inline_pushdown_waits_for_free_slot():
     platform = make_platform("teleport")
-    pool = PoolScheduler(platform, slots=1)
+    pool = PoolScheduler(platform)
     ctx = platform.main_context()
     busy_until = 5e6
-    pool.slot_free_at[0] = busy_until
+    rpc = platform.teleport.rpc
+    index, _start, _scale = rpc.plan(0.0)
+    rpc.commit(index)
+    rpc.complete(index, busy_until)
 
     def fn(ectx):
         ectx.compute(1000)
@@ -268,7 +341,7 @@ def test_inline_pushdown_waits_for_free_slot():
 def test_inline_back_to_back_calls_do_not_wait():
     """Sequential pushdowns from one caller find the slot free again."""
     platform = make_platform("teleport")
-    pool = PoolScheduler(platform, slots=1)
+    pool = PoolScheduler(platform)
     ctx = platform.main_context()
 
     def fn(ectx):

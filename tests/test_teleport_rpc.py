@@ -74,12 +74,6 @@ def test_plan_without_commit_leaves_state_unchanged():
     assert server.dispatched == 0
 
 
-def test_cancel_queued_counts():
-    server = make_server()
-    server.cancel_queued()
-    assert server.cancelled == 1
-
-
 def test_earliest_free_tracks_completions():
     server = make_server(instances=2)
     i1, _s, _ = server.plan(0.0)
@@ -90,3 +84,20 @@ def test_earliest_free_tracks_completions():
     assert server.earliest_free_ns() == float("inf")
     server.complete(i1, 300.0)
     assert server.earliest_free_ns() == 300.0
+
+
+def test_last_free_and_busy_track_the_committed_instance():
+    server = make_server(instances=2)
+    i1, _s, _ = server.plan(0.0)
+    server.commit(i1)
+    assert server.last_free_ns() == float("inf")
+    assert server.busy_at(0.0) == 1
+    server.complete(i1, 300.0)
+    assert server.last_free_ns() == 300.0
+    i2, _s, _ = server.plan(0.0)
+    assert i2 != i1
+    server.commit(i2)
+    server.complete(i2, 100.0)
+    assert server.last_free_ns() == 100.0
+    assert server.busy_at(200.0) == 1
+    assert server.busy_at(300.0) == 0
