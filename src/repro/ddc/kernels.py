@@ -12,7 +12,10 @@ route the relevant transitions through the attached
 Single-Writer-Multiple-Reader invariant holds across the pools.
 """
 
-from itertools import repeat
+from collections import Counter, deque
+from functools import reduce
+from itertools import compress, count, islice, repeat
+from operator import add, attrgetter
 
 from repro.mem.cache import CacheEntry, PageCache
 from repro.mem.storage import SwapDevice
@@ -42,8 +45,7 @@ class MemoryKernel:
 
     def on_free(self, region):
         """Freed pages vacate pool DRAM immediately (no write-back)."""
-        for vpn in region.all_vpns():
-            self.pool.drop(vpn)
+        self.pool.drop_range(region.start_vpn, region.npages)
 
     def is_resident(self, vpn):
         """True if the page is in memory-pool DRAM (not spilled)."""
@@ -202,19 +204,32 @@ class ComputeKernel:
         cost accumulated before it. Exactly ``cache.get`` / ``_upgrade`` per
         hit and ``_fetch`` per batch, run inline like
         :meth:`touch_random_batch`.
+
+        A pass with no protocol attached that finds none of its pages
+        cached and all of them resident in the memory pool takes
+        :meth:`_stream_uncached`, the loop's closed form. The checks are
+        C-level scans of the pass's range that stop at the first cached or
+        spilled page, so a pass that falls back pays little for them.
         """
+        entries = self.cache.entries
+        in_pool = memkernel.pool.resident
+        protocol = self.protocol
+        vpns = range(start_vpn, start_vpn + npages)
+        if (
+            protocol is None
+            and entries.keys().isdisjoint(vpns)
+            and all(map(in_pool.__contains__, vpns))
+        ):
+            return self._stream_uncached(in_pool, vpns, write)
         config = self.config
         degree = config.prefetch_degree
         degree_fault_ns = config.remote_fault_ns(degree)
         writeback_ns = config.page_writeback_ns(1)
-        entries = self.cache.entries
         get = entries.get
         move_to_end = entries.move_to_end
         popitem = entries.popitem
         capacity = self.cache.capacity_pages
-        in_pool = memkernel.pool.resident
         pool_move_to_end = in_pool.move_to_end
-        protocol = self.protocol
         sanitizers = self.platform.sanitizers if protocol is not None else None
         hits = misses = fetched = evictions = writebacks = 0
         cost = 0.0
@@ -271,6 +286,81 @@ class ComputeKernel:
                 vpn = stop
         finally:
             self._count(hits, misses, fetched, evictions, writebacks)
+        return cost + npages * config.dram_page_ns
+
+    def _stream_uncached(self, in_pool, vpns, write):
+        """:meth:`touch_sequential`'s loop, in closed form, for a pass that
+        caches none of its pages, finds them all in pool DRAM and runs with
+        no protocol attached.
+
+        Every batch is a miss that promotes its pages in the pool's LRU
+        and inserts them, so insertion ``k`` (from 0) of the pass evicts
+        once the cache is full: the old entries leave oldest first from
+        insertion ``capacity - len(cache)``, then the pass's own pages, page
+        ``i`` at insertion ``capacity + i``, dirty iff ``write``. Only the
+        surviving pages are inserted. Each batch's fault is its remote
+        fault plus one write-back per dirty victim, added in that order,
+        and the faults are added to the cost one after another, so every
+        float equals the loop's. The pool promotions stay: the pool's LRU
+        order decides which pages a later allocation spills.
+        """
+        config = self.config
+        degree = config.prefetch_degree
+        entries = self.cache.entries
+        capacity = self.cache.capacity_pages
+        npages = len(vpns)
+        resident = len(entries)
+        deque(map(in_pool.move_to_end, vpns), 0)
+        evictions = max(0, resident + npages - capacity)
+        old_victims = min(evictions, resident)
+        # The insertion index of each dirty old victim.
+        dirty_old = list(
+            compress(
+                count(capacity - resident),
+                map(attrgetter("dirty"), islice(entries.values(), old_victims)),
+            )
+        )
+        if old_victims == resident:
+            entries.clear()
+        else:
+            deque(map(entries.popitem, repeat(False, old_victims)), 0)
+        survivors = vpns[-capacity:]
+        entries.update(
+            zip(survivors, map(CacheEntry, repeat(write), repeat(write, len(survivors))))
+        )
+        # One remote fault per prefetch batch, then its write-backs.
+        nbatches = -(-npages // degree)
+        last = npages - (nbatches - 1) * degree
+        writeback_ns = config.page_writeback_ns(1)
+
+        def batch_fault(batch, writebacks):
+            fault = config.remote_fault_ns(batch)
+            for _ in range(writebacks):
+                fault += writeback_ns
+            return fault
+
+        faults = [config.remote_fault_ns(degree)] * nbatches
+        if last != degree:
+            faults[-1] = config.remote_fault_ns(last)
+        writebacks = Counter(k // degree for k in dirty_old)
+        new_writebacks = max(0, npages - capacity) if write else 0
+        if new_writebacks:
+            # Insertions from ``capacity`` on each evict a dirty new page:
+            # part of the batch holding insertion ``capacity``, then every
+            # later batch whole.
+            first = capacity // degree
+            writebacks[first] += min((first + 1) * degree, npages) - capacity
+            if first + 1 < nbatches:
+                faults[first + 1:] = [batch_fault(degree, degree)] * (nbatches - first - 1)
+                if last != degree:
+                    faults[-1] = batch_fault(last, last)
+        for batch_index, batch_writebacks in writebacks.items():
+            batch = last if batch_index == nbatches - 1 else degree
+            faults[batch_index] = batch_fault(batch, batch_writebacks)
+        # Not sum(): from Python 3.12 it rounds a float sum differently
+        # from a chain of additions.
+        cost = reduce(add, faults, 0.0)
+        self._count(0, nbatches, npages, evictions, len(dirty_old) + new_writebacks)
         return cost + npages * config.dram_page_ns
 
     def _count(self, hits, misses, fetched, evictions, writebacks):

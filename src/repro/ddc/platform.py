@@ -79,8 +79,7 @@ class LocalPlatform(Platform):
         self.swap.admit_new_range(region.start_vpn, region.npages)
 
     def on_free(self, process, region):
-        for vpn in region.all_vpns():
-            self.swap.drop(vpn)
+        self.swap.drop_range(region.start_vpn, region.npages)
 
     def context_for(self, thread):
         return ExecutionContext(self, thread)

@@ -7,7 +7,7 @@ sequential faults (readahead amortises latency) from random ones (pay the
 full device + software path each time).
 """
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from itertools import repeat
 
 from repro.sim.clock import add_repeated
@@ -182,9 +182,11 @@ class SwapDevice:
                 cost += self.config.page_size / self.config.ssd_bandwidth_bytes_per_ns
         return cost
 
-    def drop(self, vpn):
-        """Forget a page entirely (its region was freed); no write-back."""
-        self.resident.pop(vpn, None)
+    def drop_range(self, start_vpn, npages):
+        """Forget ``npages`` pages from ``start_vpn`` (their region was
+        freed); no write-back. The other pages keep their LRU order."""
+        resident = self.resident
+        deque(map(resident.pop, range(start_vpn, start_vpn + npages), repeat(None)), 0)
 
     def writeback_cost_ns(self, npages=1):
         """Cost of flushing ``npages`` dirty pages out to the device."""

@@ -98,3 +98,18 @@ def test_writeback_cost_positive():
 def test_capacity_minimum_is_one():
     device, _ = make_device(0)
     assert device.capacity_pages == 1
+
+
+def test_drop_range_keeps_survivors_in_lru_order():
+    device, stats = make_device(10)
+    device.admit_new_range(0, 6)
+    device.touch(7)
+    device.touch(4)
+    device.touch(0)
+    # LRU to MRU: 1, 2, 3, 5, 7, 4, 0; fresh pages are dirty, 7 is clean.
+    device.drop_range(1, 3)
+    assert list(device.resident.items()) == [(5, True), (7, False), (4, True), (0, True)]
+    # Pages in the range that are not resident (6) are skipped.
+    device.drop_range(5, 3)
+    assert list(device.resident) == [4, 0]
+    assert stats.storage_pages_out == 0

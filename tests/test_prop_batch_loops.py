@@ -13,7 +13,15 @@ below, and every observable must agree: clocks as floats, ``Stats``, cache
 and memory-pool LRU order with dirty bits, the PTE bits of ``t_mm`` and of
 the full table (into which ``finish`` merges dirty bits at the end), the
 in-flight upgrade windows, tracer events and sanitizer checks.
+
+``touch_sequential`` has a closed form for a pass that caches none of its
+pages, finds all of them in pool DRAM and runs with no protocol attached;
+the draws vary the cache capacity, the prefetch degree and the cache's
+starting contents around it, and fixed cases at the end pin its edges and
+the passes that must fall back to the loop.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -22,6 +30,7 @@ from hypothesis import strategies as st
 
 from repro.ddc import make_platform
 from repro.ddc.context import ExecutionContext
+from repro.ddc.kernels import ComputeKernel
 from repro.ddc.pool import Pool
 from repro.ddc.thread import SimThread
 from repro.errors import SanitizerViolation
@@ -56,6 +65,19 @@ SEQ = st.tuples(
     st.integers(min_value=0, max_value=MAIN_PAGES - 1),
     st.integers(min_value=1, max_value=MAIN_PAGES),
 )
+
+
+#: Cache contents before the stream: one-page touches of main, a write
+#: leaving its page dirty. Empty draws start cold.
+PREFILL = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=MAIN_PAGES - 1), st.booleans()),
+    max_size=10,
+)
+
+#: Compute caches below, at and above the default prefetch degree, and
+#: degrees that do and do not divide them.
+CAPACITY = st.sampled_from([1, 4, 9])
+DEGREE = st.sampled_from([1, 3, 8])
 
 
 def op_strategy(sides):
@@ -126,16 +148,18 @@ def reference_seq_cost(ctx, start_vpn, npages, write):
 class Env:
     """One platform, its regions and one context per pool side."""
 
-    def __init__(self, kind, config, mode, trace):
+    def __init__(self, kind, config, mode, trace, prefill=(), main_pages=MAIN_PAGES):
         self.platform = make_platform(kind, config)
         if trace:
             self.platform.tracer.enable()
         self.process = self.platform.new_process()
         self.main = self.process.alloc_array(
-            "main", np.zeros(MAIN_PAGES * FLOATS_PER_PAGE)
+            "main", np.zeros(main_pages * FLOATS_PER_PAGE)
         )
         ctx = self.platform.main_context(self.process)
         self.contexts = {"cpu": ctx}
+        for page, write in prefill:
+            ctx.touch_random(self.main, np.array([page * FLOATS_PER_PAGE]), write)
         self.protocol = None
         if mode is not None:
             compute, memory = self.platform.kernels_for(self.process)
@@ -172,7 +196,7 @@ class Env:
     def page_range(self, seq):
         """(start vpn, page count) of a drawn sequential pass over main."""
         start, npages = seq
-        return self.main.start_vpn + start, min(npages, MAIN_PAGES - start)
+        return self.main.start_vpn + start, min(npages, self.main.npages - start)
 
     def swmr_checks(self):
         suite = self.platform.sanitizers
@@ -244,9 +268,9 @@ def checked(env, run, op):
     return env.swmr_checks() - before, violation
 
 
-def replay(kind, config, ops, mode=None, trace=False):
-    engine = Env(kind, config, mode, trace)
-    reference = Env(kind, config, mode, trace)
+def replay(kind, config, ops, mode=None, trace=False, prefill=()):
+    engine = Env(kind, config, mode, trace, prefill)
+    reference = Env(kind, config, mode, trace, prefill)
     assert engine.state() == reference.state()
     for op in ops:
         outcome = checked(engine, run_engine, op)
@@ -261,18 +285,23 @@ def replay(kind, config, ops, mode=None, trace=False):
         assert engine.state() == reference.state()
 
 
-def config(spill=False, sanitize=False, line_ns=4.0, random_ns=100.0):
-    """4-page compute cache and 6-page local DRAM for 20 pages of data; a
-    10-page memory pool when ``spill`` is set."""
-    return DdcConfig(
+def config(
+    spill=False, sanitize=False, line_ns=4.0, random_ns=100.0, capacity=4, degree=8,
+    **overrides,
+):
+    """``capacity``-page compute cache (4 by default) and 6-page local DRAM
+    for 20 pages of data; a 10-page memory pool when ``spill`` is set."""
+    fields = dict(
         page_size=PAGE,
-        compute_cache_bytes=4 * PAGE,
+        compute_cache_bytes=capacity * PAGE,
         local_ram_bytes=6 * PAGE,
         memory_pool_bytes=(10 if spill else 64) * PAGE,
         dram_line_ns=line_ns,
         dram_random_ns=random_ns,
+        prefetch_degree=degree,
         sanitizers=sanitize,
     )
+    return DdcConfig(**{**fields, **overrides})
 
 
 MODES = st.sampled_from(list(ConsistencyMode))
@@ -292,21 +321,29 @@ def test_local_loop_matches_swap_touch(ops, trace, sanitize, line_ns):
 
 
 @given(
-    ops=op_strategy(["cpu"]), spill=st.booleans(),
-    trace=st.booleans(), sanitize=st.booleans(), line_ns=LINE_NS,
+    ops=op_strategy(["cpu"]), spill=st.booleans(), trace=st.booleans(),
+    sanitize=st.booleans(), line_ns=LINE_NS, capacity=CAPACITY, degree=DEGREE,
+    prefill=PREFILL,
 )
 @settings(max_examples=150, deadline=None)
-def test_compute_loops_match_touch_random(ops, spill, trace, sanitize, line_ns):
-    replay("ddc", config(spill, sanitize, line_ns), ops, trace=trace)
+def test_compute_loops_match_touch_random(
+    ops, spill, trace, sanitize, line_ns, capacity, degree, prefill
+):
+    cfg = config(spill, sanitize, line_ns, capacity=capacity, degree=degree)
+    replay("ddc", cfg, ops, trace=trace, prefill=prefill)
 
 
 @given(
     ops=op_strategy(["cpu", "memory"]), mode=MODES, spill=st.booleans(),
     trace=st.booleans(), sanitize=st.booleans(), line_ns=LINE_NS,
+    capacity=CAPACITY, degree=DEGREE, prefill=PREFILL,
 )
 @settings(max_examples=300, deadline=None)
-def test_pushdown_loops_match_per_page_methods(ops, mode, spill, trace, sanitize, line_ns):
-    replay("teleport", config(spill, sanitize, line_ns), ops, mode=mode, trace=trace)
+def test_pushdown_loops_match_per_page_methods(
+    ops, mode, spill, trace, sanitize, line_ns, capacity, degree, prefill
+):
+    cfg = config(spill, sanitize, line_ns, capacity=capacity, degree=degree)
+    replay("teleport", cfg, ops, mode=mode, trace=trace, prefill=prefill)
 
 
 #: A DRAM latency of 100/3 ns starts a run at a fractional cost, which its
@@ -394,3 +431,158 @@ def test_fixed_streams_reach_every_transition():
 def test_fixed_streams_match_reference(mode, stream, trace, sanitize):
     spill, ops = STREAMS[stream]
     replay("teleport", config(spill, sanitize), ops, mode=mode, trace=trace)
+
+
+# ----------------------------------------------------------------------
+# touch_sequential's closed form: its edges and its fall-backs
+# ----------------------------------------------------------------------
+@pytest.fixture
+def closed_forms(monkeypatch):
+    """Records every pass that takes ``ComputeKernel._stream_uncached``."""
+    calls = []
+    stream_uncached = ComputeKernel._stream_uncached
+
+    def recording(kernel, in_pool, vpns, write):
+        calls.append(vpns)
+        return stream_uncached(kernel, in_pool, vpns, write)
+
+    monkeypatch.setattr(ComputeKernel, "_stream_uncached", recording)
+    return calls
+
+
+def twins(cfg, prefill=(), mode=None, main_pages=MAIN_PAGES):
+    """Engine and reference environments, alike at the start."""
+    kind = "ddc" if mode is None else "teleport"
+    return tuple(Env(kind, cfg, mode, False, prefill, main_pages) for _ in range(2))
+
+
+def check_pass(engine, reference, start, npages, write):
+    """One compute-side pass through the engine and through the reference.
+    The costs are compared directly, since a clock far from 0 could round
+    a one-ulp difference away, then every observable is."""
+    vpn = engine.main.start_vpn + start
+    ctx, ref_ctx = engine.contexts["cpu"], reference.contexts["cpu"]
+    cost = ctx._seq_cost(vpn, npages, write)
+    expected = reference_seq_cost(ref_ctx, vpn, npages, write)
+    assert cost == expected
+    ctx.charge_ns(cost)
+    ref_ctx.charge_ns(expected)
+    assert engine.state() == reference.state()
+
+
+#: Pages 12-15 cached, oldest first, dirty and clean in turn.
+MIXED = ((12, True), (13, False), (14, True), (15, False))
+
+
+@pytest.mark.parametrize("capacity, degree", [(4, 3), (9, 8), (4, 1)])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("prefill", [(), MIXED], ids=["cold", "mixed"])
+@pytest.mark.parametrize("write", [False, True])
+def test_closed_form_pass_around_capacity(
+    closed_forms, capacity, degree, offset, prefill, write
+):
+    """Passes of capacity - 1, capacity and capacity + 1 pages. From the
+    mixed cache some old entries survive, all leave, or all leave and the
+    pass's own first page with them."""
+    engine, reference = twins(config(capacity=capacity, degree=degree), prefill)
+    check_pass(engine, reference, 0, capacity + offset, write)
+    assert len(closed_forms) == 1
+
+
+@pytest.mark.parametrize("write", [False, True])
+def test_closed_form_over_dirty_residents(closed_forms, write):
+    """A 14-page pass (not a multiple of the degree 3) after dirty
+    residents: old dirty victims, then on a write pass its own pages."""
+    dirty = [(page, True) for page in range(14, 16)] + [(15, False)]
+    engine, reference = twins(config(capacity=4, degree=3), dirty)
+    check_pass(engine, reference, 0, 14, write)
+    check_pass(engine, reference, 0, 14, not write)
+    assert len(closed_forms) == 1
+
+
+@pytest.mark.parametrize(
+    "capacity, degree, prefill",
+    [(4, 3, MIXED[2:]), (9, 8, ()), (9, 3, MIXED[:1])],
+    ids=["old-victim", "cold", "after-one"],
+)
+def test_closed_form_first_eviction_mid_batch(closed_forms, capacity, degree, prefill):
+    """The first eviction falls inside a prefetch batch, so one batch's
+    fault carries write-backs for only some of its pages."""
+    assert (capacity - len(prefill)) % degree != 0
+    engine, reference = twins(config(capacity=capacity, degree=degree), prefill)
+    check_pass(engine, reference, 0, 12, True)
+    assert len(closed_forms) == 1
+
+
+#: 400 pages in 134 batches, with a fault software cost that is not a whole
+#: number of ns: every addition of a batch fault rounds.
+LONG_PAGES = 400
+
+
+def test_closed_form_far_clock_fractional_costs(closed_forms):
+    """Many fractional batch faults, a clock far from 0, and write-backs
+    in every batch: only the loop's own order of additions gives its float.
+    The sequence is long enough that a correctly rounded sum differs."""
+    cfg = config(
+        capacity=9, degree=3, fault_software_ns=2500 / 3,
+        memory_pool_bytes=2 * LONG_PAGES * PAGE,
+    )
+    prefill = [(page, page % 2 == 0) for page in range(LONG_PAGES - 9, LONG_PAGES)]
+    engine, reference = twins(cfg, prefill, main_pages=LONG_PAGES)
+    for env in (engine, reference):
+        env.contexts["cpu"].charge_ns(2.0**40 / 3)
+    check_pass(engine, reference, 0, LONG_PAGES - 9, True)
+    # Disjoint from the 9 pages the first pass left cached.
+    check_pass(engine, reference, 0, LONG_PAGES - 18, False)
+    assert len(closed_forms) == 2
+    faults = [cfg.remote_fault_ns(3) + cfg.page_writeback_ns(1)] * (LONG_PAGES // 3)
+    loop_sum = 0.0
+    for fault in faults:
+        loop_sum += fault
+    assert loop_sum != math.fsum(faults)
+
+
+def test_fall_back_on_cached_page(closed_forms):
+    """The pass's last page is cached: the loop serves it as a hit."""
+    engine, reference = twins(config(capacity=4, degree=3), [(10, True)])
+    check_pass(engine, reference, 0, 11, False)
+    assert closed_forms == []
+
+
+def test_fall_back_on_spilled_page(closed_forms):
+    """Main pages 2-11 spilled from the 10-page pool: a pass over 0-2
+    finds 0 and 1 resident and uncached and its last page spilled. A pass
+    over resident pages of the same pool takes the closed form."""
+    ops = [
+        ("random", "cpu", False, ("main", [(0, 1)])),
+        ("random", "cpu", False, ("main", [(1, 1)])),
+        ("random", "cpu", False, ("late", [(0, 1)])),
+    ]
+    engine, reference = twins(config(spill=True, capacity=1, degree=3))
+    for op in ops:
+        run_engine(engine, *op)
+        run_reference(reference, *op)
+    # Main pages 12-15 were allocated last and are still resident.
+    check_pass(engine, reference, 12, 4, True)
+    assert len(closed_forms) == 1
+    _compute, memory = engine.platform.kernels_for(engine.process)
+    start = engine.main.start_vpn
+    assert [start + page in memory.pool for page in range(3)] == [True, True, False]
+    check_pass(engine, reference, 0, 3, True)
+    assert len(closed_forms) == 1
+
+
+def test_fall_back_with_protocol_attached(closed_forms):
+    """During a pushdown the compute side's pass over uncached, resident
+    pages runs the coherence hooks page by page."""
+    engine, reference = twins(config(capacity=4, degree=3), mode=ConsistencyMode.MESI)
+    compute, _memory = engine.platform.kernels_for(engine.process)
+    start = engine.main.start_vpn
+    assert all(start + page not in compute.cache for page in range(8, 16))
+    # The set-up's passes ran before the protocol was attached.
+    set_up = len(closed_forms)
+    check_pass(engine, reference, 8, 8, True)
+    assert len(closed_forms) == set_up
+    engine.protocol.finish()
+    reference.protocol.finish()
+    assert engine.state() == reference.state()
